@@ -104,8 +104,11 @@ class CochainSpace:
     def parse(self, text: str) -> tuple:
         data = json.loads(text)
         vec = [Fraction(0)] * self.dim
-        for I, m, c in data:
-            vec[self.index_of(tuple(int(i) for i in I), int(m))] += rat(c)
+        try:
+            for I, m, c in data:
+                vec[self.index_of(tuple(int(i) for i in I), int(m))] += rat(c)
+        except TypeError as exc:
+            raise ValueError(f"malformed cochain data: {exc}") from exc
         return tuple(vec)
 
 

@@ -17,8 +17,14 @@ def rat(x) -> Fraction:
 
     >>> rat("2"), rat("-1/3"), rat(5)
     (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1))
+    >>> rat("1/0")
+    Traceback (most recent call last):
+    ValueError: zero denominator in '1/0'
     """
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def rat_str(q) -> str:

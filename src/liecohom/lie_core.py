@@ -166,6 +166,8 @@ class LieAlgebra:
     def from_json_dict(cls, data: dict) -> "LieAlgebra":
         try:
             labels = data["basis"]
+            if not isinstance(labels, list):
+                raise ValueError("malformed algebra data: basis must be a list of labels")
             name = data.get("name", "")
             structure: dict = {}
             for item in data.get("brackets", []):

@@ -62,6 +62,16 @@ def test_usage_errors_exit_1(capsys):
     )
     assert code == 1
     assert "canonical split" in err
+    for argv in (
+        ("cohomology", "sl2", "--coeff", "trivial", "--degree", "-1"),
+        ("invariant-cohomology", "--ambient", "schrodinger:2", "--coeff",
+         "adjoint", "--degree", "-1"),
+        ("hs-check", "--ambient", "schrodinger:2", "--degree", "-1"),
+        ("hs-check", "--ambient", "schrodinger:2", "--degree", "4"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1, argv
+        assert err.startswith("error: --degree"), argv
 
 
 def test_cohomology_examples(capsys):
@@ -170,6 +180,49 @@ def test_extend_cocycle_file(capsys, tmp_path):
     assert "not a Lie algebra" in err
 
 
+def test_extend_central_dims_below_1_exits_1(capsys, tmp_path):
+    path = tmp_path / "phi.json"
+    path.write_text("[]")
+    for dims in ("0", "-2"):
+        code, _, err = run(capsys, "extend", "sl2", "--central-dims", dims)
+        assert code == 1
+        assert err == "error: --central-dims must be at least 1\n"
+        code, _, err = run(
+            capsys, "extend", "sl2", "--central-dims", dims,
+            "--cocycle-file", str(path),
+        )
+        assert code == 1
+        assert err == "error: --central-dims must be at least 1\n"
+
+
+def test_bad_algebra_files_exit_2(capsys, tmp_path):
+    zero_den = catalog.sl2().to_json_dict()
+    zero_den["brackets"][0]["result"] = [[2, "1/0"]]
+    string_basis = {"basis": "ab", "brackets": []}
+    path = tmp_path / "bad.json"
+    for data, words in ((zero_den, "1/0"), (string_basis, "basis")):
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "info", f"file:{path}")
+        assert code == 2
+        assert err.startswith("error:") and words in err
+
+
+def test_bad_cocycle_files_exit_2(capsys, tmp_path):
+    path = tmp_path / "phi.json"
+    for text, words in (
+        ('[[[0, 1], 0, "1/0"]]', "1/0"),
+        ("5", "malformed cochain"),
+        ("[[[0, 1], 0, null]]", "malformed cochain"),
+        ("[[[0, 1], 0]]", "unpack"),
+    ):
+        path.write_text(text)
+        code, _, err = run(
+            capsys, "extend", "heisenberg:1", "--cocycle-file", str(path)
+        )
+        assert code == 2, text
+        assert err.startswith("error:") and words in err, text
+
+
 def test_table_and_json_payloads_agree(capsys):
     code, table, _ = run(
         capsys, "cohomology", "schrodinger:2", "--coeff", "trivial", "--degree", "2"
@@ -196,11 +249,14 @@ def test_output_is_deterministic(capsys):
 
 
 def test_verify_paper_rows(capsys):
-    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "3")
     assert code == 0
     payload = data["payload"]
     assert payload["oracle_consistent"] is True
+    assert (payload["pass"], payload["fail"], payload["discrepancy"]) == (23, 3, 1)
+    assert len(payload["rows"]) == 27
     rows = {r["claim"]: r for r in payload["rows"]}
+    assert len(rows) == 27  # claim labels are unique
     disc = rows["dim H^2(sch_2, sch_2)"]
     assert disc["status"] == "DISCREPANCY"
     assert "proposition" in disc["stated"] and "abstract" in disc["stated"]
@@ -212,8 +268,12 @@ def test_verify_paper_rows(capsys):
     assert rows["dim B^2(a, g_2)^sl2"]["status"] == "PASS"
     assert rows["g_2 distinguished 2-cocycle"]["status"] == "FAIL"
     assert rows["sch_2 distinguished 2-cocycle"]["status"] == "PASS"
-    assert payload["discrepancy"] == 1
-    assert payload["fail"] == 3
+    for q in ("Z", "B"):
+        row = rows[f"dim {q}^2(h_3, sch_3)^sl2"]
+        assert (row["stated"], row["computed"], row["status"]) == ("6", "6", "PASS")
+    h2 = rows["dim H^2(sch_3, sch_3)"]
+    assert (h2["stated"], h2["computed"], h2["status"]) == ("0", "0", "PASS")
+    assert h2["note"] == "factorized dim 0, agree=True"
     assert all(r["oracle_ok"] for r in payload["rows"])
 
 

@@ -62,6 +62,10 @@ def test_parse_rejects_malformed(sch2):
         space.parse('[[[0, 1], 5, "1"]]')  # module coordinate out of range
     with pytest.raises(Exception):
         space.parse("not json")
+    with pytest.raises(ValueError, match="1/0"):
+        space.parse('[[[0, 1], 0, "1/0"]]')
+    with pytest.raises(ValueError):
+        space.parse("5")
 
 
 def test_d_squared_is_zero():

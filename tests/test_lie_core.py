@@ -224,3 +224,9 @@ def test_from_json_rejects_malformed():
         LieAlgebra.from_json_dict(dup)
     with pytest.raises(ValueError):
         LieAlgebra.from_json_dict({"basis": ["a"], "brackets": [{"left": 0}]})
+    with pytest.raises(ValueError, match="basis"):
+        LieAlgebra.from_json_dict({"basis": "ab"})
+    with pytest.raises(ValueError, match="1/0"):
+        LieAlgebra.from_json_dict(
+            dict(base, brackets=[{"left": 0, "right": 1, "result": [[2, "1/0"]]}])
+        )
