@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import catalog
-from .exact_linalg import SparseMatrix, rank_dense
+from .exact_linalg import SparseMatrix, kernel_basis, rank_dense
 from .lie_core import (
     LieAlgebra,
     _leibniz_system,
@@ -589,7 +589,8 @@ def cmd_selftest(args) -> int:
     for _ in range(args.rank_trials):
         m = _random_sparse(rng, 30, 30)
         rank_trials += 1
-        if m.rank() != rank_dense(m):
+        dense = rank_dense(m)
+        if m.rank() != dense or m.cols - kernel_basis(m).dim != dense:
             rank_failures += 1
     ext_trials = 0
     ext_failures = 0

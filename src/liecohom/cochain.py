@@ -17,6 +17,7 @@ cohomology the quotient.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from .exact_linalg import (
     kernel_basis,
     rat,
     rat_str,
+    to_dense,
 )
 from .lie_core import LieAlgebra
 from .representations import Representation
@@ -145,15 +147,6 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     rows = comb(r.dim, n + 1) * md
     cols = comb(r.dim, n) * md
     ent: dict = {}
-
-    def add(row, col, val):
-        key = (row, col)
-        nv = ent.get(key, Fraction(0)) + val
-        if nv:
-            ent[key] = nv
-        else:
-            ent.pop(key, None)
-
     for out_pos, J in enumerate(tuples_out):
         ro = out_pos * md
         for i in range(n + 1):
@@ -161,7 +154,8 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
             co = idx_in[K] * md
             sign = -1 if i % 2 else 1
             for (mr, mc), v in M.actions[J[i]].entries.items():
-                add(ro + mr, co + mc, sign * v)
+                key = (ro + mr, co + mc)
+                ent[key] = ent.get(key, 0) + sign * v
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 rest = J[:i] + J[i + 1:j] + J[j + 1:]
@@ -173,7 +167,8 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
                     s = c if (i + j + pos) % 2 == 0 else -c
                     co = idx_in[T] * md
                     for m in range(md):
-                        add(ro + m, co + m, s)
+                        key = (ro + m, co + m)
+                        ent[key] = ent.get(key, 0) + s
     out = SparseMatrix(rows, cols, ent)
     M._dcache[n] = out
     return out
@@ -199,31 +194,40 @@ def _coboundary_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:
 
 def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
     """Reduce candidate vectors against an echelon set seeded from base;
-    the survivors, fully reduced and normalized, are the representatives."""
-    ambient = base.ambient_dim
-    echelon = {}
-    for pivot, vec in zip(base.pivots, base.basis):
-        echelon[pivot] = list(vec)
+    the survivors, normalized at their leading coordinate, are the
+    representatives.
+
+    Each candidate is reduced in coordinate order, only until its first
+    nonzero coordinate that is not yet a pivot; that coordinate becomes the
+    pivot of the survivor, which joins the echelon set as it stands.
+    """
+    echelon = dict(zip(base.pivots, base.rows))
     reps = []
-    for cand in candidates.basis:
-        vec = list(cand)
-        c = 0
-        while c < ambient:
-            x = vec[c]
-            if x:
-                row = echelon.get(c)
-                if row is None:
-                    break
-                for t in range(c, ambient):
-                    if row[t]:
-                        vec[t] -= x * row[t]
-            c += 1
-        if c == ambient:
+    for cand in candidates.rows:
+        vec = dict(cand)
+        heap = sorted(vec)
+        while heap:
+            c = heappop(heap)
+            x = vec.get(c)
+            if not x:
+                continue
+            row = echelon.get(c)
+            if row is None:
+                break
+            for t, y in row.items():
+                nv = vec.get(t, 0) - x * y
+                if nv:
+                    if t not in vec:
+                        heappush(heap, t)
+                    vec[t] = nv
+                else:
+                    del vec[t]
+        else:
             continue
         lead = vec[c]
-        vec = [x / lead for x in vec]
+        vec = {t: x / lead for t, x in vec.items()}
         echelon[c] = vec
-        reps.append(tuple(vec))
+        reps.append(to_dense(vec, base.ambient_dim))
         if len(reps) == want:
             break
     return tuple(reps)
@@ -235,6 +239,15 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     Representatives extend an echelon basis of the coboundaries by
     reduced kernel vectors taken in lexicographic coordinate order; they
     are empty exactly when the cohomology vanishes.
+
+    >>> from liecohom import catalog
+    >>> from liecohom.representations import adjoint_rep
+    >>> g = catalog.resolve("schrodinger:2")
+    >>> res = cohomology(g, adjoint_rep(g), 2)
+    >>> res.dim_cohomology
+    1
+    >>> len(res.representatives)
+    1
     """
     dim_c = cochain_dim(r, M, n)
     dn = differential(r, M, n)

@@ -109,10 +109,11 @@ class SparseMatrix:
         return out
 
     def row_dicts(self) -> list:
-        out = [dict() for _ in range(self.rows)]
+        """The non-empty rows as {col: value} dicts, in row order."""
+        out: dict = {}
         for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+            out.setdefault(r, {})[c] = v
+        return [out[r] for r in sorted(out)]
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(
@@ -188,57 +189,16 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def rank(self) -> int:
-        """Rank over the rationals by sparse elimination.
-
-        Pivots are chosen in the sparsest column, then the sparsest row
-        within it (ties broken by index), which keeps fill-in low on the
-        differential matrices this package produces.
+        """Rank over the rationals: the number of pivots of _echelon.
 
         >>> SparseMatrix.identity(3).rank()
         3
         >>> SparseMatrix.zero(4, 7).rank()
         0
         """
-        if self._rank is not None:
-            return self._rank
-        rows: dict = {}
-        for (r, c), v in self.entries.items():
-            rows.setdefault(r, {})[c] = v
-        col_rows: dict = {}
-        for r, row in rows.items():
-            for c in row:
-                col_rows.setdefault(c, set()).add(r)
-        rank = 0
-        while col_rows:
-            c = min(col_rows, key=lambda cc: (len(col_rows[cc]), cc))
-            p = min(col_rows[c], key=lambda rr: (len(rows[rr]), rr))
-            prow = rows.pop(p)
-            pv = prow[c]
-            for cc in prow:
-                s = col_rows.get(cc)
-                if s is not None:
-                    s.discard(p)
-                    if not s:
-                        del col_rows[cc]
-            for r in sorted(col_rows.get(c, ())):
-                row = rows[r]
-                f = row[c] / pv
-                for cc, vv in prow.items():
-                    nv = row.get(cc, Fraction(0)) - f * vv
-                    if nv:
-                        if cc not in row:
-                            col_rows.setdefault(cc, set()).add(r)
-                        row[cc] = nv
-                    else:
-                        del row[cc]
-                        s = col_rows.get(cc)
-                        if s is not None:
-                            s.discard(r)
-                            if not s:
-                                del col_rows[cc]
-            rank += 1
-        self._rank = rank
-        return rank
+        if self._rank is None:
+            self._rank = sum(1 for _ in _echelon(self.row_dicts()))
+        return self._rank
 
 
 def rank_dense(m: SparseMatrix) -> int:
@@ -277,105 +237,133 @@ def rank_dense(m: SparseMatrix) -> int:
     return rank
 
 
-def _sparse_rref(row_dicts: list, ncols: int) -> list:
-    """Reduced row echelon form of sparse rows.
+def _echelon(rows: list):
+    """Forward elimination of sparse rows, the one elimination kernel.
 
-    Returns a list of (pivot_col, row_dict) with strictly increasing
-    pivot columns, each pivot normalized to 1 and cleared from every
-    other returned row. RREF is unique, so the output is canonical.
+    Goes through the columns in order and yields (pivot_col, row) for each
+    pivot, the row normalized so that row[pivot_col] == 1 and free of every
+    earlier pivot column. The pivot is the sparsest row holding the column,
+    ties going to the lowest row id; a column index (column -> ids of the
+    rows holding it) finds the rows without scanning. The index holds
+    lists, not sets: columns are short, and a set costs several times the
+    memory of a list. Consumes rows, a list of {col: value} dicts: pivot
+    rows are taken out of it and the others are reduced in place.
     """
-    rows = [dict(r) for r in row_dicts if r]
-    active = list(range(len(rows)))
-    finished = []
-    for c in range(ncols):
-        piv = None
-        best = None
-        for rid in active:
-            row = rows[rid]
-            if c in row:
-                key = (len(row), rid)
-                if best is None or key < best:
-                    best = key
-                    piv = rid
-        if piv is None:
+    col_rows: dict = {}
+    for rid, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, []).append(rid)
+    for c in range(max(col_rows, default=-1) + 1):
+        holders = col_rows.pop(c, None)
+        if not holders:
             continue
-        active.remove(piv)
-        prow = rows[piv]
+        p = min(holders, key=lambda rid: (len(rows[rid]), rid))
+        holders.remove(p)
+        prow, rows[p] = rows[p], None
+        for k in prow:
+            if k != c:
+                col_rows[k].remove(p)
         pv = prow[c]
         if pv != 1:
             prow = {k: v / pv for k, v in prow.items()}
-        survivors = []
-        for rid in active:
+        for rid in holders:
             row = rows[rid]
-            f = row.get(c)
-            if f:
-                for k, v in prow.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
-            if row:
-                survivors.append(rid)
-        active = survivors
-        finished.append((c, prow))
-    # clear pivot columns above each pivot (back substitution)
-    for idx in range(len(finished) - 1, -1, -1):
-        c, prow = finished[idx]
-        for jdx in range(idx):
-            row = finished[jdx][1]
-            f = row.get(c)
-            if f:
-                for k, v in prow.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    else:
-                        row.pop(k, None)
+            f = row.pop(c)
+            for k, v in prow.items():
+                if k == c:
+                    continue
+                nv = row.get(k, 0) - f * v
+                if nv:
+                    if k not in row:
+                        col_rows.setdefault(k, []).append(rid)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    col_rows[k].remove(rid)
+        yield c, prow
+
+
+def _rref(rows: list) -> list:
+    """Reduced row echelon form of sparse rows, as the (pivot_col, row)
+    pairs of _echelon with every pivot column cleared from the other rows.
+    RREF is unique, so the output is canonical. Consumes rows."""
+    finished = list(_echelon(rows))
+    # back substitution, last pivot first: the rows in reduced are free of
+    # every other pivot column, so subtracting them adds no pivot column
+    reduced: dict = {}
+    for c, row in reversed(finished):
+        for p in [k for k in row if k in reduced]:
+            _subtract(row, row[p], reduced[p])
+        reduced[c] = row
     return finished
+
+
+def _subtract(w: dict, f, row: dict) -> None:
+    """w -= f * row on sparse {coordinate: value} dicts, dropping zeros;
+    f must be nonzero."""
+    for k, v in row.items():
+        nv = w.get(k, 0) - f * v
+        if nv:
+            w[k] = nv
+        else:
+            del w[k]
+
+
+def to_dense(row: dict, n: int) -> tuple:
+    """The length-n coordinate tuple of a sparse {coordinate: value} row."""
+    vec = [Fraction(0)] * n
+    for k, v in row.items():
+        vec[k] = v
+    return tuple(vec)
 
 
 class Subspace:
     """A linear subspace of Q^n stored via its unique RREF basis.
 
+    rows holds the basis as sparse {coordinate: value} dicts and pivots
+    their leading coordinates, so two subspaces are equal as spans iff
+    their rows are equal.
+
     >>> u = Subspace.from_vectors(2, [(2, 0), (1, 0)])
     >>> u.dim, u.basis
     (1, ((Fraction(1, 1), Fraction(0, 1)),))
-    >>> u == Subspace.from_vectors(2, [(5, 0)])
+    >>> u == Subspace.from_vectors(2, [{0: 5}])
     True
     """
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "rows", "pivots")
 
-    def __init__(self, ambient_dim: int, basis: tuple, pivots: tuple):
+    def __init__(self, ambient_dim: int, rows: tuple, pivots: tuple):
         # internal; use from_vectors for canonicalization
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._pivots = pivots
+        self.rows = rows
+        self.pivots = pivots
 
     @classmethod
-    def from_vectors(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        row_dicts = []
+    def from_vectors(cls, ambient_dim: int, vectors: Iterable) -> "Subspace":
+        """Span of the vectors, each a length-ambient_dim sequence or a
+        {coordinate: value} dict."""
+        rows = []
         for vec in vectors:
-            vec = list(vec)
-            if len(vec) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-            d = {}
-            for i, v in enumerate(vec):
+            if isinstance(vec, dict):
+                if any(not 0 <= i < ambient_dim for i in vec):
+                    raise ValueError("vector coordinate outside the ambient dimension")
+                items = vec.items()
+            else:
+                vec = list(vec)
+                if len(vec) != ambient_dim:
+                    raise ValueError("vector length does not match ambient dimension")
+                items = enumerate(vec)
+            row = {}
+            for i, v in items:
                 v = Fraction(v)
                 if v:
-                    d[i] = v
-            row_dicts.append(d)
-        finished = _sparse_rref(row_dicts, ambient_dim)
-        basis = []
-        pivots = []
-        for c, row in finished:
-            vec = [Fraction(0)] * ambient_dim
-            for k, v in row.items():
-                vec[k] = v
-            basis.append(tuple(vec))
-            pivots.append(c)
-        return cls(ambient_dim, tuple(basis), tuple(pivots))
+                    row[i] = v
+            if row:
+                rows.append(row)
+        finished = _rref(rows)
+        return cls(ambient_dim, tuple(row for _, row in finished),
+                   tuple(c for c, _ in finished))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -383,42 +371,50 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @property
-    def pivots(self) -> tuple:
-        return self._pivots
+    def basis(self) -> tuple:
+        """The RREF basis as dense coordinate tuples."""
+        return tuple(to_dense(row, self.ambient_dim) for row in self.rows)
 
     def matrix(self) -> SparseMatrix:
         """Basis vectors stacked as rows."""
-        ent = {}
-        for r, vec in enumerate(self.basis):
-            for c, v in enumerate(vec):
-                if v:
-                    ent[(r, c)] = v
-        return SparseMatrix(self.dim, self.ambient_dim, ent)
+        return SparseMatrix(self.dim, self.ambient_dim, {
+            (r, c): v for r, row in enumerate(self.rows) for c, v in row.items()
+        })
+
+    def reduce(self, w: dict) -> dict:
+        """Clear every pivot coordinate of the sparse vector w (in place)
+        by subtracting basis rows; the rest is empty iff w lies in the span.
+
+        >>> Subspace.from_vectors(2, [(1, 1)]).reduce({0: 2})
+        {1: Fraction(-2, 1)}
+        """
+        for p, row in zip(self.pivots, self.rows):
+            f = w.get(p)
+            if f:
+                _subtract(w, f, row)
+        return w
 
     def contains(self, w: Sequence) -> bool:
-        """Membership test via rank of the augmented basis matrix.
+        """Membership test: w reduces to zero against the basis.
 
         >>> Subspace.from_vectors(2, [(1, 0)]).contains((2, 0))
         True
         >>> Subspace.from_vectors(2, [(1, 0)]).contains((0, 1))
         False
         """
-        w = list(w)
+        w = [Fraction(x) for x in w]
         if len(w) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        if not any(Fraction(x) for x in w):
-            return True
-        stacked = [list(v) for v in self.basis] + [w]
-        return SparseMatrix.from_rows(stacked).rank() == self.dim
+        return not self.reduce({i: x for i, x in enumerate(w) if x})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self):
@@ -436,34 +432,23 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
     >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).basis
     ((Fraction(1, 1), Fraction(-1, 2)),)
     """
-    finished = _sparse_rref(m.row_dicts(), m.cols)
-    pivot_cols = [c for c, _ in finished]
-    pivot_set = set(pivot_cols)
-    vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for c, row in finished:
-            x = row.get(f)
-            if x:
-                vec[c] = -x
-        vectors.append(vec)
-    return Subspace.from_vectors(m.cols, vectors)
+    finished = _rref(m.row_dicts())
+    pivots = {c for c, _ in finished}
+    # one vector per free column f: 1 at f, minus column f of the RREF
+    vectors = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivots}
+    for c, row in finished:
+        for f, x in row.items():
+            if f != c:
+                vectors[f][c] = -x
+    return Subspace.from_vectors(m.cols, vectors.values())
 
 
 def column_space(m: SparseMatrix) -> Subspace:
     """Span of the columns of m, as a subspace of Q^rows."""
-    return Subspace.from_vectors(
-        m.rows, (tuple(col) for col in zip(*m.to_rows())) if m.cols else ()
-    )
-
-
-def sum_spaces(u: Subspace, v: Subspace) -> Subspace:
-    if u.ambient_dim != v.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(u.ambient_dim, list(u.basis) + list(v.basis))
+    columns = [{} for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        columns[c][r] = v
+    return Subspace.from_vectors(m.rows, columns)
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -483,27 +468,15 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     if du == 0 or dv == 0:
         return Subspace.zero(u.ambient_dim)
     ent = {}
-    for j, vec in enumerate(u.basis):
-        for i, x in enumerate(vec):
-            if x:
-                ent[(i, j)] = x
-    for j, vec in enumerate(v.basis):
-        for i, x in enumerate(vec):
-            if x:
-                ent[(i, du + j)] = x
+    for j, row in enumerate(u.rows + v.rows):
+        for i, x in row.items():
+            ent[(i, j)] = x
     ker = kernel_basis(SparseMatrix(u.ambient_dim, du + dv, ent))
     points = []
-    for coeffs in ker.basis:
-        vec = [Fraction(0)] * u.ambient_dim
-        for j in range(du):
-            a = coeffs[j]
-            if a:
-                for i, x in enumerate(u.basis[j]):
-                    if x:
-                        vec[i] += a * x
-        points.append(vec)
+    for coeffs in ker.rows:
+        point: dict = {}
+        for j, a in coeffs.items():
+            if j < du:
+                _subtract(point, -a, u.rows[j])
+        points.append(point)
     return Subspace.from_vectors(u.ambient_dim, points)
-
-
-def contains(u: Subspace, w: Sequence) -> bool:
-    return u.contains(w)

@@ -90,21 +90,13 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
     rad_pos = {p: a for a, p in enumerate(rad)}
     rho_v = setup.module.action(v)
     ent: dict = {}
-
-    def add(row, col, val):
-        key = (row, col)
-        nv = ent.get(key, Fraction(0)) + val
-        if nv:
-            ent[key] = nv
-        else:
-            ent.pop(key, None)
-
     tuples = space.tuples
     index = {t: a for a, t in enumerate(tuples)}
     for tpos, T in enumerate(tuples):
         ro = tpos * md
         for (mr, mc), val in rho_v.entries.items():
-            add(ro + mr, tpos * md + mc, val)
+            key = (ro + mr, tpos * md + mc)
+            ent[key] = ent.get(key, 0) + val
         for i, a in enumerate(T):
             # [v, e_i] expanded over the radical basis
             moved: dict = {}
@@ -123,7 +115,8 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
                 sign = 1 if (i + p) % 2 == 0 else -1
                 co = index[TT] * md
                 for m in range(md):
-                    add(ro + m, co + m, -sign * c)
+                    key = (ro + m, co + m)
+                    ent[key] = ent.get(key, 0) - sign * c
     return SparseMatrix(space.dim, space.dim, ent)
 
 

@@ -216,25 +216,19 @@ def _leibniz_system(g: LieAlgebra) -> SparseMatrix:
     dim = g.dim
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     ent: dict = {}
-
-    def add(row, col, val):
-        key = (row, col)
-        nv = ent.get(key, Fraction(0)) + val
-        if nv:
-            ent[key] = nv
-        else:
-            ent.pop(key, None)
-
     for p, (i, j) in enumerate(pairs):
         base = p * dim
         for m, c in g.bracket_basis(i, j).items():
             for k in range(dim):
-                add(base + k, k * dim + m, c)
+                key = (base + k, k * dim + m)
+                ent[key] = ent.get(key, 0) + c
         for m in range(dim):
             for k, c in g.bracket_basis(m, j).items():
-                add(base + k, m * dim + i, -c)
+                key = (base + k, m * dim + i)
+                ent[key] = ent.get(key, 0) - c
             for k, c in g.bracket_basis(i, m).items():
-                add(base + k, m * dim + j, -c)
+                key = (base + k, m * dim + j)
+                ent[key] = ent.get(key, 0) - c
     return SparseMatrix(len(pairs) * dim, dim * dim, ent)
 
 
@@ -246,14 +240,8 @@ def derivation_space(g: LieAlgebra) -> Subspace:
 def derivations(g: LieAlgebra) -> list:
     """Basis of the derivation algebra, as matrices."""
     dim = g.dim
-    out = []
-    for vec in derivation_space(g).basis:
-        ent = {}
-        for idx, v in enumerate(vec):
-            if v:
-                ent[(idx // dim, idx % dim)] = v
-        out.append(SparseMatrix(dim, dim, ent))
-    return out
+    return [SparseMatrix(dim, dim, {divmod(idx, dim): v for idx, v in row.items()})
+            for row in derivation_space(g).rows]
 
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
@@ -312,26 +300,11 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     pivots = set(ideal.pivots)
     comp = [i for i in range(g.dim) if i not in pivots]
     cpos = {p: a for a, p in enumerate(comp)}
-
-    def reduce(vec):
-        vec = list(vec)
-        for p, bvec in zip(ideal.pivots, ideal.basis):
-            coeff = vec[p]
-            if coeff:
-                for t, x in enumerate(bvec):
-                    if x:
-                        vec[t] -= coeff * x
-        return vec
-
     structure: dict = {}
     for a, p in enumerate(comp):
         for b in range(a + 1, len(comp)):
-            q = comp[b]
-            w = reduce(_basis_bracket_vector(g, p, q))
-            comps = {}
-            for t, x in enumerate(w):
-                if x:
-                    comps[cpos[t]] = x
+            w = ideal.reduce(g.bracket_basis(p, comp[b]))
+            comps = {cpos[t]: w[t] for t in sorted(w)}
             if comps:
                 structure[(a, b)] = comps
     out = LieAlgebra(
@@ -341,13 +314,6 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     if bad is not None:
         raise ValueError(f"quotient produced a non-Lie table: {bad}")
     return out
-
-
-def _basis_bracket_vector(g: LieAlgebra, i: int, j: int) -> list:
-    vec = [Fraction(0)] * g.dim
-    for k, c in g.bracket_basis(i, j).items():
-        vec[k] = c
-    return vec
 
 
 def semidirect(s: LieAlgebra, r: LieAlgebra, action: Sequence[SparseMatrix]) -> LieAlgebra:

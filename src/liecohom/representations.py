@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .exact_linalg import SparseMatrix, Subspace
-from .lie_core import LieAlgebra, NotASubalgebra, subalgebra_on_indices
+from .exact_linalg import SparseMatrix
+from .lie_core import LieAlgebra, subalgebra_on_indices
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,6 @@ def validate_rep(rep: Representation) -> Optional[RepViolation]:
     return None
 
 
-def _aligned_indices(sub: Subspace) -> Tuple[int, ...]:
-    """Indices of a coordinate-aligned subspace; its RREF basis must consist
-    of standard basis vectors."""
-    indices = []
-    for pivot, vec in zip(sub.pivots, sub.basis):
-        for c, x in enumerate(vec):
-            if x and c != pivot:
-                raise NotASubalgebra(
-                    "subspace is not spanned by standard basis vectors"
-                )
-        indices.append(pivot)
-    return tuple(indices)
-
-
 def restrict_to_indices(rep: Representation, indices: Sequence[int]) -> Representation:
     """Representation of the subalgebra on the listed basis indices,
     acting on the same module space."""
@@ -126,9 +112,3 @@ def restrict_to_indices(rep: Representation, indices: Sequence[int]) -> Represen
         sub, [rep.actions[i] for i in indices], module_dim=rep.module_dim
     )
 
-
-def restrict(rep: Representation, sub: Subspace) -> Representation:
-    """Restrict to a coordinate-aligned subalgebra given as a Subspace."""
-    if sub.ambient_dim != rep.algebra.dim:
-        raise ValueError("subspace lives in the wrong ambient space")
-    return restrict_to_indices(rep, _aligned_indices(sub))

@@ -13,6 +13,7 @@ from liecohom.cochain import (
     is_cocycle,
 )
 from liecohom.exact_linalg import kernel_basis
+from liecohom.invariants import invariant_cohomology
 from liecohom.representations import adjoint_rep, trivial_rep
 
 from oracles import naive_d_apply, permute_algebra
@@ -214,3 +215,36 @@ def test_degree_beyond_dimension(sl2):
     res = cohomology(sl2, triv, 4)
     assert res.dim_cochain == 0
     assert res.dim_cohomology == 0
+
+
+# Serialized representatives recorded before the elimination kernel was
+# unified; the canonical echelon choice must reproduce them byte for byte.
+PINNED_REPRESENTATIVES = {
+    "sch2 adjoint H^2": [
+        '[[[3, 4], 0, "1"], [[3, 6], 2, "-1/2"], [[3, 7], 4, "3/2"], '
+        '[[4, 5], 2, "1/2"], [[4, 7], 3, "-3/2"], [[5, 6], 1, "-1"], '
+        '[[5, 7], 6, "3/2"], [[6, 7], 5, "-3/2"]]',
+    ],
+    "sch3 trivial H^3": ['[[[0, 1, 2], 0, "1"]]'],
+    "sch2 adjoint invariant H^2": [
+        '[[[0, 1], 0, "1"], [[0, 3], 2, "-1/2"], [[0, 4], 4, "3/2"], '
+        '[[1, 2], 2, "1/2"], [[1, 4], 3, "-3/2"], [[2, 3], 1, "-1"], '
+        '[[2, 4], 6, "3/2"], [[3, 4], 5, "-3/2"]]',
+    ],
+}
+
+
+def test_pinned_representatives(sch2, sch3, sch2_adj_setup):
+    adj = adjoint_rep(sch2)
+    triv = trivial_rep(sch3, 1)
+    cases = {
+        "sch2 adjoint H^2": (CochainSpace(sch2, adj, 2), cohomology(sch2, adj, 2)),
+        "sch3 trivial H^3": (CochainSpace(sch3, triv, 3), cohomology(sch3, triv, 3)),
+        "sch2 adjoint invariant H^2": (
+            sch2_adj_setup.cochain_space(2),
+            invariant_cohomology(sch2_adj_setup, 2),
+        ),
+    }
+    for name, (space, res) in cases.items():
+        got = [space.serialize(v) for v in res.representatives]
+        assert got == PINNED_REPRESENTATIVES[name], name

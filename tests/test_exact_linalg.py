@@ -8,13 +8,11 @@ from liecohom.exact_linalg import (
     SparseMatrix,
     Subspace,
     column_space,
-    contains,
     intersect,
     kernel_basis,
     rank_dense,
     rat,
     rat_str,
-    sum_spaces,
 )
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -101,7 +99,7 @@ def test_subspace_membership():
     assert u.contains((2, 3, 2, 3))
     assert not u.contains((1, 0, 0, 0))
     assert u.contains((0, 0, 0, 0))
-    assert contains(u, (1, 1, 1, 1))
+    assert u.contains((1, 1, 1, 1))
     with pytest.raises(ValueError):
         u.contains((1, 0))
 
@@ -142,12 +140,34 @@ def subspace_pairs(draw):
 def test_intersection_dimension_formula(pair):
     u, v = pair
     w = intersect(u, v)
-    s = sum_spaces(u, v)
+    s = Subspace.from_vectors(u.ambient_dim, u.rows + v.rows)
     assert w.dim + s.dim == u.dim + v.dim
     for vec in w.basis:
         assert u.contains(vec) and v.contains(vec)
     for vec in u.basis:
         assert s.contains(vec)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(small_entries, min_size=n, max_size=n), max_size=n + 2),
+)))
+def test_from_vectors_dense_and_sparse_spellings_agree(case):
+    n, dense = case
+    sparse = [{i: x for i, x in enumerate(vec) if x} for vec in dense]
+    a = Subspace.from_vectors(n, dense)
+    b = Subspace.from_vectors(n, sparse)
+    assert a == b
+    assert (a.rows, a.pivots, a.basis) == (b.rows, b.pivots, b.basis)
+
+
+def test_from_vectors_rejects_outside_coordinates():
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [{3: 1}])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [{-1: 1}])
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [(1, 0)])
 
 
 def test_column_space():

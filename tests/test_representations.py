@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from liecohom import catalog
 from liecohom.exact_linalg import Subspace
-from liecohom.lie_core import NotASubalgebra
 from liecohom.representations import (
     Representation,
     adjoint_rep,
-    restrict,
     restrict_to_indices,
     trivial_rep,
     validate_rep,
@@ -73,18 +71,19 @@ def test_restrict_to_subalgebra(sch2):
     assert validate_rep(sub) is None
     assert sub.actions[0] == rep.actions[3]
     assert restrict_to_indices(rep, range(8)) is rep
+    assert restrict_to_indices(rep, (2, 0, 1)).algebra.labels == ("e", "f", "h")
 
 
 def test_restrict_via_subspace(sch2):
+    # The pivots of a coordinate-aligned subalgebra are its basis indices.
     rep = adjoint_rep(sch2)
-    aligned = Subspace.from_vectors(
-        8, [tuple(int(t == i) for t in range(8)) for i in (0, 1, 2)]
-    )
-    sub = restrict(rep, aligned)
+    aligned = Subspace.from_vectors(8, [{i: 1} for i in (0, 1, 2)])
+    assert aligned.pivots == (0, 1, 2)
+    sub = restrict_to_indices(rep, aligned.pivots)
     assert sub.algebra.dim == 3
-    skew = Subspace.from_vectors(8, [(1, 1, 0, 0, 0, 0, 0, 0)])
-    with pytest.raises(NotASubalgebra):
-        restrict(rep, skew)
+    assert sub.algebra.labels == ("e", "f", "h")
+    assert validate_rep(sub) is None
+    assert sub.actions == rep.actions[:3]
 
 
 def test_shape_errors(sl2):
