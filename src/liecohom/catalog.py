@@ -1,7 +1,10 @@
 """Constructors for the standard algebras, with fixed basis orders.
 
-Every constructor validates its output. Basis orderings are part of the
-contract: coordinates of cochains and representatives are only
+schrodinger and schrodinger_mod_center are validated by the semidirect
+and quotient constructions they are built with, and parse_algebra
+validates every file; sl2, heisenberg and abelian are Lie by
+construction and are checked by the tests. Basis orderings are part of
+the contract: coordinates of cochains and representatives are only
 reproducible against these exact orders.
 """
 

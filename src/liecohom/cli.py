@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from . import catalog
-from .exact_linalg import SparseMatrix, kernel_basis, rank_dense
+from .exact_linalg import SparseMatrix, kernel_basis, rank_dense, stacked
 from .lie_core import (
     LieAlgebra,
     _leibniz_system,
@@ -387,17 +387,6 @@ CLAIMS = (
 # globals, and a stored reference would escape it.
 
 
-def _stacked(blocks, cols: int) -> SparseMatrix:
-    """The blocks, each with cols columns, one above the other."""
-    ent = {}
-    offset = 0
-    for b in blocks:
-        for (row, col), v in b.entries.items():
-            ent[(offset + row, col)] = v
-        offset += b.rows
-    return SparseMatrix(offset, cols, ent)
-
-
 def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int) -> int:
     dz = cochain_dim(g, rep, p) - rank_dense(differential(g, rep, p))
     db = 0 if p == 0 else rank_dense(differential(g, rep, p - 1))
@@ -408,18 +397,18 @@ def _dense_z_inv_dim(setup: InvariantSetup, p: int) -> int:
     """Kernel dimension of the stacked (differential; generator actions)
     matrix, eliminated densely."""
     dn = differential(setup.radical_algebra, setup.radical_module, p)
-    return dn.cols - rank_dense(_stacked([dn, *generator_actions(setup, p)], dn.cols))
+    return dn.cols - rank_dense(stacked([dn, *generator_actions(setup, p)], dn.cols))
 
 
 def _dense_b_inv_dim(setup: InvariantSetup, p: int) -> int:
     """dim(B) + dim(Inv) - dim(B + Inv), every rank taken densely."""
     dprev = differential(setup.radical_algebra, setup.radical_module, p - 1)
-    acts = _stacked(generator_actions(setup, p), dprev.rows)
+    acts = stacked(generator_actions(setup, p), dprev.rows)
     dim_inv = dprev.rows - rank_dense(acts)
     dim_b = rank_dense(dprev)
     # invariant basis vectors and the columns of dprev, as rows
-    joint = _stacked([invariant_subspace(setup, p).matrix(), dprev.transpose()],
-                     dprev.rows)
+    joint = stacked([invariant_subspace(setup, p).matrix(), dprev.transpose()],
+                    dprev.rows)
     return dim_b + dim_inv - rank_dense(joint)
 
 

@@ -97,7 +97,6 @@ class CochainSpace:
         md = self.module.module_dim
         items = []
         for flat, x in enumerate(vec):
-            x = Fraction(x)
             if x:
                 I = self.tuples[flat // md]
                 items.append([list(I), flat % md, rat_str(x)])

@@ -15,12 +15,21 @@ Rational = Fraction
 def rat(x) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
-    >>> rat("2"), rat("-1/3"), rat(5)
-    (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1))
+    A float is refused: its binary value is rarely the number meant.
+
+    >>> rat("2"), rat("-1/3"), rat(5), rat("0.1")
+    (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1), Fraction(1, 10))
     >>> rat("1/0")
     Traceback (most recent call last):
     ValueError: zero denominator in '1/0'
+    >>> rat(0.1)
+    Traceback (most recent call last):
+    ValueError: inexact float coefficient 0.1: write an integer or a string such as "1/10"
     """
+    if isinstance(x, float):
+        raise ValueError(
+            f'inexact float coefficient {x!r}: write an integer or a string such as "1/10"'
+        )
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -309,6 +318,17 @@ def _subtract(w: dict, f, row: dict) -> None:
             del w[k]
 
 
+def stacked(blocks, cols: int) -> SparseMatrix:
+    """The blocks, each with cols columns, one above the other."""
+    ent = {}
+    offset = 0
+    for b in blocks:
+        for (row, col), v in b.entries.items():
+            ent[(offset + row, col)] = v
+        offset += b.rows
+    return SparseMatrix(offset, cols, ent)
+
+
 def to_dense(row: dict, n: int) -> tuple:
     """The length-n coordinate tuple of a sparse {coordinate: value} row."""
     vec = [Fraction(0)] * n
@@ -418,7 +438,8 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        # equal RREF rows have equal pivots
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -15,7 +15,7 @@ completely reducibly.
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import SparseMatrix, Subspace, intersect, kernel_basis
+from .exact_linalg import SparseMatrix, Subspace, intersect, kernel_basis, stacked
 from .lie_core import LieAlgebra, subalgebra_on_indices
 from .representations import Representation, restrict_to_indices
 from .cochain import (
@@ -138,13 +138,7 @@ def invariant_subspace(setup: InvariantSetup, n: int) -> Subspace:
     key = ("inv", n)
     if key not in setup._cache:
         space_dim = cochain_dim(setup.radical_algebra, setup.radical_module, n)
-        ent: dict = {}
-        offset = 0
-        for mat in generator_actions(setup, n):
-            for (r, c), val in mat.entries.items():
-                ent[(offset + r, c)] = val
-            offset += mat.rows
-        setup._cache[key] = kernel_basis(SparseMatrix(offset, space_dim, ent))
+        setup._cache[key] = kernel_basis(stacked(generator_actions(setup, n), space_dim))
     return setup._cache[key]
 
 
@@ -183,17 +177,12 @@ def invariant_subcomplex_cohomology(setup: InvariantSetup, n: int) -> dict:
     """
     r, M = setup.radical_algebra, setup.radical_module
     inv_n = invariant_subspace(setup, n)
-    dn = differential(r, M, n)
-    image_vectors = [dn.apply(vec) for vec in inv_n.basis]
-    rank_dn = Subspace.from_vectors(dn.rows, image_vectors).dim
+    rank_dn = (differential(r, M, n) @ inv_n.matrix().transpose()).rank()
     if n == 0:
         rank_prev = 0
     else:
         prev = invariant_subspace(setup, n - 1)
-        dprev = differential(r, M, n - 1)
-        rank_prev = Subspace.from_vectors(
-            dprev.rows, [dprev.apply(vec) for vec in prev.basis]
-        ).dim
+        rank_prev = (differential(r, M, n - 1) @ prev.matrix().transpose()).rank()
     dim_ker = inv_n.dim - rank_dn
     return {
         "dim_invariants": inv_n.dim,

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .exact_linalg import SparseMatrix, Subspace, kernel_basis, rat, rat_str
+from .exact_linalg import (
+    SparseMatrix,
+    Subspace,
+    _subtract,
+    kernel_basis,
+    rat,
+    rat_str,
+    stacked,
+)
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class NotAnIdeal(Exception):
         )
 
 
-class NotASubalgebra(Exception):
+class NotASubalgebra(ValueError):
     """Raised when a coordinate span is not closed under the bracket."""
 
 
@@ -127,10 +135,6 @@ class LieAlgebra:
 
     def validate(self) -> Optional[JacobiViolation]:
         """None when Jacobi holds on all basis triples, else the first failure."""
-        basis = [
-            tuple(Fraction(int(i == t)) for t in range(self.dim))
-            for i in range(self.dim)
-        ]
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 bij = self.bracket_basis(i, j)
@@ -203,11 +207,7 @@ class LieAlgebra:
 
 def center(g: LieAlgebra) -> Subspace:
     """{v : [b_i, v] = 0 for all i}, the kernel of the stacked ad matrices."""
-    ent = {}
-    for i in range(g.dim):
-        for (r, c), v in g.ad_matrix(i).entries.items():
-            ent[(i * g.dim + r, c)] = v
-    return kernel_basis(SparseMatrix(g.dim * g.dim, g.dim, ent))
+    return kernel_basis(stacked([g.ad_matrix(i) for i in range(g.dim)], g.dim))
 
 
 def _leibniz_system(g: LieAlgebra) -> SparseMatrix:
@@ -246,13 +246,8 @@ def derivations(g: LieAlgebra) -> list:
 
 def inner_derivations(g: LieAlgebra) -> Subspace:
     """Span of the ad matrices, flattened; dim = dim(g) - dim center(g)."""
-    vectors = []
-    for i in range(g.dim):
-        m = g.ad_matrix(i)
-        vec = [Fraction(0)] * (g.dim * g.dim)
-        for (r, c), v in m.entries.items():
-            vec[r * g.dim + c] = v
-        vectors.append(vec)
+    vectors = [{r * g.dim + c: v for (r, c), v in g.ad_matrix(i).entries.items()}
+               for i in range(g.dim)]
     return Subspace.from_vectors(g.dim * g.dim, vectors)
 
 
@@ -292,10 +287,12 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
     """
     if ideal.ambient_dim != g.dim:
         raise ValueError("ideal lives in the wrong ambient space")
-    for w_idx, w in enumerate(ideal.basis):
+    for w_idx, w in enumerate(ideal.rows):
         for i in range(g.dim):
-            ei = [Fraction(int(t == i)) for t in range(g.dim)]
-            if not ideal.contains(g.bracket(ei, w)):
+            image: dict = {}  # [b_i, w], without stored zeros
+            for t, wt in w.items():
+                _subtract(image, -wt, g.bracket_basis(i, t))
+            if ideal.reduce(image):
                 raise NotAnIdeal(i, w_idx)
     pivots = set(ideal.pivots)
     comp = [i for i in range(g.dim) if i not in pivots]
@@ -321,37 +318,19 @@ def semidirect(s: LieAlgebra, r: LieAlgebra, action: Sequence[SparseMatrix]) -> 
 
     action[i] is the matrix by which s basis element i acts on r. Each
     must be a derivation of r and the assignment must respect the
-    bracket of s; violations raise with a witness.
+    bracket of s. Both laws are Jacobi identities of the assembled table:
+    Jacobi on (s_i, r_a, r_b) is the derivation law of action[i] at
+    (a, b), and Jacobi on (s_i, s_j, r_a) the homomorphism law at (i, j).
+    So validate checks them, and its first failing triple in lexicographic
+    order is the witness: ActionNotDerivation(i, (a, b)) or
+    ActionNotHomomorphism((i, j)), whichever law that triple belongs to.
+    A failing triple inside s or inside r raises ValueError.
     """
     if len(action) != s.dim:
         raise ValueError("need one action matrix per basis element of s")
     for i, A in enumerate(action):
         if (A.rows, A.cols) != (r.dim, r.dim):
             raise ValueError(f"action matrix {i} has the wrong shape")
-    basis_r = [
-        tuple(Fraction(int(a == t)) for t in range(r.dim)) for a in range(r.dim)
-    ]
-    for i, A in enumerate(action):
-        cols = [A.apply(basis_r[a]) for a in range(r.dim)]
-        for a in range(r.dim):
-            for b in range(a + 1, r.dim):
-                left = A.apply(r.bracket(basis_r[a], basis_r[b]))
-                right = [
-                    x + y
-                    for x, y in zip(
-                        r.bracket(cols[a], basis_r[b]), r.bracket(basis_r[a], cols[b])
-                    )
-                ]
-                if list(left) != right:
-                    raise ActionNotDerivation(i, (a, b))
-    for i in range(s.dim):
-        for j in range(i + 1, s.dim):
-            lhs = SparseMatrix.zero(r.dim, r.dim)
-            for k, c in s.bracket_basis(i, j).items():
-                lhs = lhs + action[k].scale(c)
-            rhs = action[i] @ action[j] - action[j] @ action[i]
-            if lhs != rhs:
-                raise ActionNotHomomorphism((i, j))
     ds = s.dim
     structure: dict = {}
     for (i, j), comps in s.structure.items():
@@ -368,5 +347,10 @@ def semidirect(s: LieAlgebra, r: LieAlgebra, action: Sequence[SparseMatrix]) -> 
     )
     bad = out.validate()
     if bad is not None:
+        i, j, k = bad.triple
+        if i < ds <= j:
+            raise ActionNotDerivation(i, (j - ds, k - ds))
+        if j < ds <= k:
+            raise ActionNotHomomorphism((i, j))
         raise ValueError(f"semidirect table violates Jacobi: {bad}")
     return out

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecohom import catalog
 from liecohom.cli import main
@@ -200,7 +202,10 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
     zero_den["brackets"][0]["result"] = [[2, "1/0"]]
     string_basis = {"basis": "ab", "brackets": []}
     path = tmp_path / "bad.json"
-    for data, words in ((zero_den, "1/0"), (string_basis, "basis")):
+    float_coeff = catalog.sl2().to_json_dict()
+    float_coeff["brackets"][0]["result"] = [[2, 0.1]]
+    for data, words in ((zero_den, "1/0"), (string_basis, "basis"),
+                        (float_coeff, "0.1")):
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, "info", f"file:{path}")
         assert code == 2
@@ -214,6 +219,7 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         ("5", "malformed cochain"),
         ("[[[0, 1], 0, null]]", "malformed cochain"),
         ("[[[0, 1], 0]]", "unpack"),
+        ("[[[0, 1], 0, 0.5]]", "0.5"),
     ):
         path.write_text(text)
         code, _, err = run(
@@ -221,6 +227,45 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         )
         assert code == 2, text
         assert err.startswith("error:") and words in err, text
+
+
+def test_levi_not_a_subalgebra_exits_2(capsys):
+    # [x1, y1] = z leaves the span of x1, y1 in heisenberg:1
+    for command in ("invariant-cohomology", "hs-check"):
+        code, _, err = run(
+            capsys, command, "--ambient", "heisenberg:1", "--levi", "indices:0,1",
+            "--radical", "indices:2", "--coeff", "trivial",
+        )
+        assert code == 2, command
+        assert err.startswith("error:") and "leaves the span" in err, command
+
+
+@st.composite
+def split_invocations(draw):
+    spec, dim = draw(st.sampled_from(
+        (("heisenberg:1", 3), ("sl2", 3), ("schrodinger:1", 6), ("abelian:2", 2))
+    ))
+    # each basis index goes to levi, radical, both or neither, so that
+    # partitions come up often; extra indices may repeat or fall outside
+    owners = [draw(st.sampled_from("LLLRRRBN")) for _ in range(dim)]
+    parts = []
+    for side in "LR":
+        indices = [i for i, o in enumerate(owners) if o in (side, "B")]
+        indices += draw(st.lists(st.integers(-1, dim), max_size=2))
+        parts.append("indices:" + ",".join(map(str, draw(st.permutations(indices)))))
+    return [
+        draw(st.sampled_from(("invariant-cohomology", "hs-check"))),
+        "--ambient", spec, "--levi", parts[0], "--radical", parts[1],
+        "--coeff", draw(st.sampled_from(("trivial", "adjoint"))),
+        "--degree", str(draw(st.integers(0, 2))),
+    ]
+
+
+@settings(max_examples=100)
+@given(split_invocations())
+def test_any_split_selection_ends_in_an_exit_code(argv):
+    # overlapping, incomplete and out-of-range splits are errors, never tracebacks
+    assert main(argv) in (0, 1, 2, 3)
 
 
 def test_table_and_json_payloads_agree(capsys):

@@ -198,8 +198,18 @@ def test_semidirect_rejects_non_derivation(h1):
 
 def test_semidirect_rejects_non_homomorphism(sl2):
     eye = SparseMatrix.identity(2)
-    with pytest.raises(ActionNotHomomorphism):
+    with pytest.raises(ActionNotHomomorphism) as exc:
         semidirect(sl2, catalog.abelian(2), [eye, eye, eye])
+    assert exc.value.witness == (0, 1)
+
+
+def test_semidirect_reports_a_non_lie_part_as_plain_value_error():
+    # [a, b] = b, [a, c] = c, [b, c] = a is not Lie; zero actions satisfy both laws
+    bad = LieAlgebra("abc", {(0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}})
+    assert bad.validate() is not None
+    zero = SparseMatrix.zero(3, 3)
+    with pytest.raises(ValueError, match="violates Jacobi"):
+        semidirect(catalog.abelian(1), bad, [zero])
 
 
 def test_json_round_trip(sch3, h2):
