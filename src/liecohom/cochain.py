@@ -15,12 +15,13 @@ cohomology the quotient.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from .exact_linalg import (
     SparseMatrix,
@@ -115,12 +116,23 @@ class CochainSpace:
 
 @dataclass(frozen=True)
 class CohomologyResult:
+    """Dimensions of one cohomology group. representatives is computed by
+    compute_representatives when first read, so a caller that wants only
+    dimensions does no kernel or echelon work for it."""
+
     degree: int
     dim_cochain: int
     dim_cocycles: int
     dim_coboundaries: int
     dim_cohomology: int
-    representatives: tuple
+    compute_representatives: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def representatives(self) -> tuple:
+        reps = self.compute_representatives() if self.dim_cohomology > 0 else ()
+        if len(reps) != self.dim_cohomology:
+            raise AssertionError("representative extension lost rank")
+        return reps
 
     def as_dict(self) -> dict:
         return {
@@ -233,7 +245,8 @@ def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
 
 
 def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
-    """Dimensions of Z^n, B^n, H^n plus representative cocycles.
+    """Dimensions of Z^n, B^n, H^n plus representative cocycles, which
+    are computed when .representatives is first read.
 
     Representatives extend an echelon basis of the coboundaries by
     reduced kernel vectors taken in lexicographic coordinate order; they
@@ -253,20 +266,20 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     dim_z = dim_c - dn.rank()
     dim_b = 0 if n == 0 else differential(r, M, n - 1).rank()
     dim_h = dim_z - dim_b
-    reps: tuple = ()
-    if dim_h > 0:
+
+    def representatives():
+        # the kernel first: its elimination sets the peak memory, which is
+        # lower while the coboundary space is not yet held
         zspace = _cocycle_space(r, M, n)
-        bspace = _coboundary_space(r, M, n)
-        reps = _extend_echelon(bspace, zspace, dim_h)
-        if len(reps) != dim_h:
-            raise AssertionError("representative extension lost rank")
+        return _extend_echelon(_coboundary_space(r, M, n), zspace, dim_h)
+
     return CohomologyResult(
         degree=n,
         dim_cochain=dim_c,
         dim_cocycles=dim_z,
         dim_coboundaries=dim_b,
         dim_cohomology=dim_h,
-        representatives=reps,
+        compute_representatives=representatives,
     )
 
 

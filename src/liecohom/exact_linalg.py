@@ -1,9 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Sparse matrices with Fraction entries, rank by sparse elimination, a
-deliberately independent dense elimination used as an oracle, kernel
+Sparse matrices with Fraction entries, rank by sparse elimination, kernel
 bases, and canonical subspaces (reduced row echelon bases, so that two
 subspaces are equal as spans iff their stored bases are equal).
+
+Two rank checks stand apart from the sparse elimination. rank_dense is a
+deliberately independent dense elimination. certified_rank proves a rank
+from the sparse elimination's own output: its kernel basis, checked to be
+independent and annihilated exactly, bounds the rank from above, and the
+minor on its pivot rows and columns, checked nonsingular modulo a prime by
+a dense elimination of its own, bounds it from below. When the bounds do
+not meet, rank_dense decides.
 """
 
 from fractions import Fraction
@@ -246,11 +253,96 @@ def rank_dense(m: SparseMatrix) -> int:
     return rank
 
 
+# a prime; a rational minor that is nonsingular modulo it is nonsingular
+_P = (1 << 61) - 1
+
+
+def certified_rank(m: SparseMatrix) -> int:
+    """Rank of m proven from the sparse elimination's own output, with
+    rank_dense deciding whenever the proof does not close.
+
+    Upper bound: the kernel_basis vectors are independent by their RREF
+    pattern and m k = 0 is checked exactly for each, so rank <= cols - dim
+    ker. Lower bound: the minor of m on the r pivot rows and columns of the
+    same elimination is nonsingular modulo the prime _P, hence over Q, so
+    rank >= r. The two meet when r = cols - dim ker. Neither bound reads
+    m.rank(), so a wrong sparse rank cannot certify itself.
+
+    >>> certified_rank(SparseMatrix.from_rows([[1, 2], [2, 4]]))
+    1
+    """
+    pivots: list = []
+    ker = kernel_basis(m, pivots)
+    r = len(pivots)
+    if r == m.cols - ker.dim and _annihilates(m, ker) and _minor_nonsingular(m, pivots):
+        return r
+    return rank_dense(m)
+
+
+def _annihilates(m: SparseMatrix, ker: "Subspace") -> bool:
+    """ker's rows are independent (1 on their own pivot, 0 on every other
+    pivot) and m k = 0 exactly for each row k, by a column-indexed product."""
+    pivots = set(ker.pivots)
+    if ker.ambient_dim != m.cols or len(pivots) != len(ker.rows):
+        return False
+    for p, row in zip(ker.pivots, ker.rows):
+        if row.get(p) != 1 or any(row[k] for k in row if k != p and k in pivots):
+            return False
+    by_col: dict = {}
+    for (r, c), v in m.entries.items():
+        by_col.setdefault(c, []).append((r, v))
+    for row in ker.rows:
+        out: dict = {}
+        for c, x in row.items():
+            if not 0 <= c < m.cols:
+                return False
+            for r, v in by_col.get(c, ()):
+                out[r] = out.get(r, 0) + v * x
+        if any(out.values()):
+            return False
+    return True
+
+
+def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
+    """The minor of m on the (column, row) positions is nonsingular modulo
+    _P: a dense forward elimination over Z/_P, rows and columns in pivot
+    order. False when _P divides a denominator inside the minor."""
+    n = len(pivots)
+    col_of = {c: j for j, (c, _) in enumerate(pivots)}
+    row_of = {r: i for i, (_, r) in enumerate(pivots)}
+    if len(col_of) != n or len(row_of) != n:
+        return False
+    a = [[0] * n for _ in range(n)]
+    for (r, c), v in m.entries.items():
+        i, j = row_of.get(r), col_of.get(c)
+        if i is None or j is None:
+            continue
+        if v.denominator % _P == 0:
+            return False
+        a[i][j] = v.numerator * pow(v.denominator, -1, _P) % _P
+    for j in range(n):
+        piv = next((i for i in range(j, n) if a[i][j]), None)
+        if piv is None:
+            return False
+        a[j], a[piv] = a[piv], a[j]
+        prow = a[j]
+        inv = pow(prow[j], -1, _P)
+        tail = [(k, prow[k]) for k in range(j + 1, n) if prow[k]]
+        for i in range(j + 1, n):
+            row = a[i]
+            if row[j]:
+                f = row[j] * inv % _P
+                for k, x in tail:
+                    row[k] = (row[k] - f * x) % _P
+    return True
+
+
 def _echelon(rows: list):
     """Forward elimination of sparse rows, the one elimination kernel.
 
-    Goes through the columns in order and yields (pivot_col, row) for each
-    pivot, the row normalized so that row[pivot_col] == 1 and free of every
+    Goes through the columns in order and yields (pivot_col, row_id, row)
+    for each pivot: row_id is the pivot row's index in rows, and row the
+    pivot row normalized so that row[pivot_col] == 1 and free of every
     earlier pivot column. The pivot is the sparsest row holding the column,
     ties going to the lowest row id; a column index (column -> ids of the
     rows holding it) finds the rows without scanning. The index holds
@@ -289,18 +381,18 @@ def _echelon(rows: list):
                 else:
                     del row[k]
                     col_rows[k].remove(rid)
-        yield c, prow
+        yield c, p, prow
 
 
 def _rref(rows: list) -> list:
-    """Reduced row echelon form of sparse rows, as the (pivot_col, row)
-    pairs of _echelon with every pivot column cleared from the other rows.
-    RREF is unique, so the output is canonical. Consumes rows."""
+    """Reduced row echelon form of sparse rows, as the (pivot_col, row_id,
+    row) triples of _echelon with every pivot column cleared from the other
+    rows. RREF is unique, so the output is canonical. Consumes rows."""
     finished = list(_echelon(rows))
     # back substitution, last pivot first: the rows in reduced are free of
     # every other pivot column, so subtracting them adds no pivot column
     reduced: dict = {}
-    for c, row in reversed(finished):
+    for c, _, row in reversed(finished):
         for p in [k for k in row if k in reduced]:
             _subtract(row, row[p], reduced[p])
         reduced[c] = row
@@ -382,8 +474,8 @@ class Subspace:
             if row:
                 rows.append(row)
         finished = _rref(rows)
-        return cls(ambient_dim, tuple(row for _, row in finished),
-                   tuple(c for c, _ in finished))
+        return cls(ambient_dim, tuple(row for _, _, row in finished),
+                   tuple(c for c, _, _ in finished))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -445,19 +537,24 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(m: SparseMatrix) -> Subspace:
+def kernel_basis(m: SparseMatrix, pivots: Optional[list] = None) -> Subspace:
     """Basis of the right null space {v : m v = 0}.
 
-    rank(m) + dim kernel = cols(m).
+    rank(m) + dim kernel = cols(m). When a list is passed as pivots, the
+    elimination appends to it the position (column, row of m) of each
+    pivot it took, in the order taken: certified_rank's lower bound.
 
     >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).basis
     ((Fraction(1, 1), Fraction(-1, 2)),)
     """
     finished = _rref(m.row_dicts())
-    pivots = {c for c, _ in finished}
+    if pivots is not None:
+        row_ids = sorted({r for r, _ in m.entries})  # the rows of row_dicts
+        pivots.extend((c, row_ids[rid]) for c, rid, _ in finished)
+    pivot_cols = {c for c, _, _ in finished}
     # one vector per free column f: 1 at f, minus column f of the RREF
-    vectors = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivots}
-    for c, row in finished:
+    vectors = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivot_cols}
+    for c, _, row in finished:
         for f, x in row.items():
             if f != c:
                 vectors[f][c] = -x
@@ -493,11 +590,30 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
         for i, x in row.items():
             ent[(i, j)] = x
     ker = kernel_basis(SparseMatrix(u.ambient_dim, du + dv, ent))
+    return _combinations(u, ker)
+
+
+def kernel_within(m: SparseMatrix, u: Subspace) -> Subspace:
+    """The part of u that m annihilates, ker(m) cap u.
+
+    One kernel, of m restricted to the basis of u: a kernel vector a of
+    m u^T gives the point sum(a_i u_i).
+
+    >>> u = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 1)])
+    >>> kernel_within(SparseMatrix.from_rows([[0, 1, -1]]), u) == u
+    True
+    """
+    return _combinations(u, kernel_basis(m @ u.matrix().transpose()))
+
+
+def _combinations(u: Subspace, coeffs: Subspace) -> Subspace:
+    """Span of the points sum(a_i u_i), one for each coefficient row a of
+    coeffs; coefficients past the basis of u are ignored."""
     points = []
-    for coeffs in ker.rows:
+    for row in coeffs.rows:
         point: dict = {}
-        for j, a in coeffs.items():
-            if j < du:
+        for j, a in row.items():
+            if j < u.dim:
                 _subtract(point, -a, u.rows[j])
         points.append(point)
     return Subspace.from_vectors(u.ambient_dim, points)

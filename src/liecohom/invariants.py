@@ -15,14 +15,20 @@ completely reducibly.
 from fractions import Fraction
 from typing import Sequence
 
-from .exact_linalg import SparseMatrix, Subspace, intersect, kernel_basis, stacked
+from .exact_linalg import (
+    SparseMatrix,
+    Subspace,
+    intersect,
+    kernel_basis,
+    kernel_within,
+    stacked,
+)
 from .lie_core import LieAlgebra, subalgebra_on_indices
 from .representations import Representation, restrict_to_indices
 from .cochain import (
     CochainSpace,
     CohomologyResult,
     _coboundary_space,
-    _cocycle_space,
     _extend_echelon,
     cochain_dim,
     differential,
@@ -143,28 +149,26 @@ def invariant_subspace(setup: InvariantSetup, n: int) -> Subspace:
 
 
 def invariant_cohomology(setup: InvariantSetup, n: int) -> CohomologyResult:
-    """(Z^n cap Inv) / (B^n cap Inv) with representatives.
+    """(Z^n cap Inv) / (B^n cap Inv) with representatives, which are
+    computed when .representatives is first read.
 
     dim_cochain reports the full C^n(r, M) dimension; dim_cocycles and
-    dim_coboundaries are the invariant intersections.
+    dim_coboundaries are the invariant intersections. Z^n cap Inv is the
+    kernel of d_n restricted to the Inv basis, so the full Z^n is never
+    formed.
     """
     r, M = setup.radical_algebra, setup.radical_module
     inv = invariant_subspace(setup, n)
-    z_inv = intersect(_cocycle_space(r, M, n), inv)
+    z_inv = kernel_within(differential(r, M, n), inv)
     b_inv = intersect(_coboundary_space(r, M, n), inv)
     dim_h = z_inv.dim - b_inv.dim
-    reps: tuple = ()
-    if dim_h > 0:
-        reps = _extend_echelon(b_inv, z_inv, dim_h)
-        if len(reps) != dim_h:
-            raise AssertionError("invariant representative extension lost rank")
     return CohomologyResult(
         degree=n,
         dim_cochain=cochain_dim(r, M, n),
         dim_cocycles=z_inv.dim,
         dim_coboundaries=b_inv.dim,
         dim_cohomology=dim_h,
-        representatives=reps,
+        compute_representatives=lambda: _extend_echelon(b_inv, z_inv, dim_h),
     )
 
 

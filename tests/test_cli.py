@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from liecohom import catalog
 from liecohom.cli import main
-from liecohom.cochain import CochainSpace, is_cocycle
+from liecohom.cochain import CochainSpace, differential, is_cocycle
+from liecohom.exact_linalg import SparseMatrix
 from liecohom.representations import adjoint_rep
 
 
@@ -320,6 +321,28 @@ def test_verify_paper_rows(capsys):
     assert (h2["stated"], h2["computed"], h2["status"]) == ("0", "0", "PASS")
     assert h2["note"] == "factorized dim 0, agree=True"
     assert all(r["oracle_ok"] for r in payload["rows"])
+
+
+def test_wrong_sparse_rank_trips_its_oracle(capsys, monkeypatch):
+    # the oracles take no rank from SparseMatrix.rank, so one sparse rank
+    # off by one on d_2(sch_2, adjoint) must show in its row and the exit code
+    sch2 = catalog.schrodinger(2)
+    d2 = differential(sch2, adjoint_rep(sch2), 2)
+    sparse_rank = SparseMatrix.rank
+
+    def off_by_one(m):
+        r = sparse_rank(m)
+        return r + 1 if (m.rows, m.cols) == (d2.rows, d2.cols) and m == d2 else r
+
+    monkeypatch.setattr(SparseMatrix, "rank", off_by_one)
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["oracle_consistent"] is False
+    bad = [r for r in payload["rows"] if not r["oracle_ok"]]
+    assert [r["claim"] for r in bad] == ["dim H^2(sch_2, sch_2)"]
+    assert bad[0]["computed"] == "0"
+    assert "INTERNAL: oracle got 1, sparse path 0" in bad[0]["note"]
 
 
 def test_selftest(capsys):

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from liecohom import exact_linalg
 from liecohom.exact_linalg import (
     SparseMatrix,
     Subspace,
+    certified_rank,
     column_space,
     intersect,
     kernel_basis,
@@ -56,6 +58,68 @@ def test_entry_validation():
 @given(matrices())
 def test_rank_agrees_with_dense_oracle(m):
     assert m.rank() == rank_dense(m)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=8, max_cols=8):
+    """Any shape from 0x0 up, entries with denominators up to 6."""
+    rows = draw(st.integers(0, max_rows))
+    cols = draw(st.integers(0, max_cols))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    ent = {(r, c): draw(entry) for r in range(rows) for c in range(cols)
+           if draw(st.booleans())}
+    return SparseMatrix(rows, cols, ent)
+
+
+@given(rational_matrices())
+@example(SparseMatrix.zero(3, 4))
+@example(SparseMatrix.zero(0, 5))
+@example(SparseMatrix.zero(5, 0))
+def test_certified_rank_agrees_with_dense_oracle(m):
+    assert certified_rank(m) == rank_dense(m)
+
+
+def _drop_vector(ker, pivots):
+    return Subspace(ker.ambient_dim, ker.rows[1:], ker.pivots[1:])
+
+
+def _perturb_entry(ker, pivots):
+    row = dict(ker.rows[0])
+    k = next(k for k in row if k != ker.pivots[0])
+    row[k] += 1
+    return Subspace(ker.ambient_dim, (row,) + ker.rows[1:], ker.pivots)
+
+
+def _singular_minor(ker, pivots):
+    # rows 0 and 1 of the matrix below are proportional
+    pivots[:] = [(c, r) for (c, _), r in zip(pivots, (0, 1))]
+    return ker
+
+
+@pytest.mark.parametrize("tamper", [None, _drop_vector, _perturb_entry,
+                                    _singular_minor])
+def test_certified_rank_falls_back_when_the_proof_fails(monkeypatch, tamper):
+    m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    kernel = exact_linalg.kernel_basis
+    dense = exact_linalg.rank_dense
+    if tamper is not None:
+        monkeypatch.setattr(exact_linalg, "kernel_basis",
+                            lambda m, pivots=None: tamper(kernel(m, pivots), pivots))
+    called = []
+    monkeypatch.setattr(exact_linalg, "rank_dense",
+                        lambda m: called.append(m) or dense(m))
+    assert certified_rank(m) == 2
+    assert called == ([] if tamper is None else [m])
+
+
+def test_certified_rank_falls_back_when_the_prime_divides_a_denominator(monkeypatch):
+    m = SparseMatrix.from_rows([[Fraction(1, exact_linalg._P), 1], [1, 1]])
+    dense = exact_linalg.rank_dense
+    called = []
+    monkeypatch.setattr(exact_linalg, "rank_dense",
+                        lambda m: called.append(m) or dense(m))
+    assert certified_rank(m) == 2
+    assert called == [m]
 
 
 @given(matrices())
