@@ -389,8 +389,11 @@ CLAIMS = (
 
 # The oracles below recompute each number by a formulation of their own and
 # take every rank from certified_rank, never from SparseMatrix.rank, so a
-# wrong sparse rank shows as a mismatch. The "dense" in their names is
-# historical; bench/tracer.py targets them by name.
+# wrong sparse rank shows as a mismatch. A differential is cached by its
+# module and shared by several rows, so its rank comes through the
+# differential_rank argument, certified_rank memoised per matrix object by
+# _algebra_rows; a matrix built for one oracle is certified directly. The
+# "dense" in their names is historical; bench/tracer.py targets them by name.
 #
 # The evaluator calls the oracles, _cocycle_claims, the catalog
 # constructors and the library functions by their global names at call time
@@ -398,9 +401,10 @@ CLAIMS = (
 # globals, and a stored reference would escape it.
 
 
-def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int) -> int:
-    dz = cochain_dim(g, rep, p) - certified_rank(differential(g, rep, p))
-    db = 0 if p == 0 else certified_rank(differential(g, rep, p - 1))
+def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int,
+                 differential_rank) -> int:
+    dz = cochain_dim(g, rep, p) - differential_rank(differential(g, rep, p))
+    db = 0 if p == 0 else differential_rank(differential(g, rep, p - 1))
     return dz - db
 
 
@@ -411,12 +415,12 @@ def _dense_z_inv_dim(setup: InvariantSetup, p: int) -> int:
     return dn.cols - certified_rank(stacked([dn, *generator_actions(setup, p)], dn.cols))
 
 
-def _dense_b_inv_dim(setup: InvariantSetup, p: int) -> int:
+def _dense_b_inv_dim(setup: InvariantSetup, p: int, differential_rank) -> int:
     """dim(B) + dim(Inv) - dim(B + Inv)."""
     dprev = differential(setup.radical_algebra, setup.radical_module, p - 1)
     acts = stacked(generator_actions(setup, p), dprev.rows)
     dim_inv = dprev.rows - certified_rank(acts)
-    dim_b = certified_rank(dprev)
+    dim_b = differential_rank(dprev)
     # invariant basis vectors and the columns of dprev, as rows
     joint = stacked([invariant_subspace(setup, p).matrix(), dprev.transpose()],
                     dprev.rows)
@@ -437,7 +441,7 @@ def _row(claim: str, stated, computed, status: str, note: str, oracle_ok: bool) 
 
 
 def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
-                    table: dict) -> dict:
+                    table: dict, differential_rank) -> dict:
     """Row for a stated p-cochain claimed to be a cocycle and not a
     coboundary; the coboundary test is repeated as a rank test."""
     idx = {lab: i for i, lab in enumerate(g.labels)}
@@ -455,7 +459,7 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
         if x:
             ent[(i, dprev.cols)] = x
     dense_cobound = (certified_rank(SparseMatrix(dprev.rows, dprev.cols + 1, ent))
-                     == certified_rank(dprev))
+                     == differential_rank(dprev))
     computed = ("cocycle" if cocycle else "not a cocycle") + (
         ", coboundary" if cobound else ", not a coboundary"
     )
@@ -475,7 +479,7 @@ def _algebra_rows(build: str, n, claims: list) -> list:
     setups and invariant cohomology are shared by these rows only."""
     make = getattr(catalog, build)
     g = make() if n is None else make(n)
-    modules, setups, inv = {}, {}, {}
+    modules, setups, inv, certified = {}, {}, {}, {}
 
     def module(coeff):
         if coeff not in modules:
@@ -487,6 +491,12 @@ def _algebra_rows(build: str, n, claims: list) -> list:
             setups[coeff] = InvariantSetup(g, *catalog.canonical_split(g), module(coeff))
         return setups[coeff]
 
+    def differential_rank(m):
+        # keyed by id and holding m, so that no id is reused while memoised
+        if id(m) not in certified:
+            certified[id(m)] = (m, certified_rank(m))
+        return certified[id(m)][1]
+
     rows = []
     for _, label, quantity, coeff, p, stated in claims:
         if callable(stated):
@@ -495,13 +505,14 @@ def _algebra_rows(build: str, n, claims: list) -> list:
             continue
         label = label.format(n=n)
         if quantity == "cocycle":
-            rows.append(_cocycle_claims(label, g, module(coeff), p, stated))
+            rows.append(_cocycle_claims(label, g, module(coeff), p, stated,
+                                        differential_rank))
             continue
         conflict = isinstance(stated, tuple)
         note = ""
         if quantity in ("H", "H+hs"):
             computed = cohomology(g, module(coeff), p).dim_cohomology
-            dense = _dense_h_dim(g, module(coeff), p)
+            dense = _dense_h_dim(g, module(coeff), p, differential_rank)
             if quantity == "H+hs" and not conflict:
                 hs = hs_crosscheck(setup(coeff), p)
                 note = f"factorized dim {hs['factorized']}, agree={hs['agree']}"
@@ -516,7 +527,7 @@ def _algebra_rows(build: str, n, claims: list) -> list:
                 dense = _dense_z_inv_dim(setup(coeff), p)
             else:
                 computed = inv[coeff, p].dim_coboundaries
-                dense = _dense_b_inv_dim(setup(coeff), p)
+                dense = _dense_b_inv_dim(setup(coeff), p, differential_rank)
         if conflict:
             status = "DISCREPANCY"
             note = f"stated values conflict; computation supports {computed}"

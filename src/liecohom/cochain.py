@@ -145,7 +145,11 @@ class CohomologyResult:
 
 
 def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
-    """Matrix of d_n : C^n(r, M) -> C^{n+1}(r, M). Cached per module."""
+    """Matrix of d_n : C^n(r, M) -> C^{n+1}(r, M). Cached per module.
+
+    Assembly stores the action and structure-constant Fractions as they
+    are, without re-coercing them: only an entry hit twice is added.
+    """
     _check_pair(r, M)
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -157,29 +161,36 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     idx_in = {t: a for a, t in enumerate(combinations(range(r.dim), n))}
     rows = comb(r.dim, n + 1) * md
     cols = comb(r.dim, n) * md
+    # acts[parity][g]: the entries of e_g's action, with sign (-1)^parity
+    acts = [[[(mr, mc, v) for (mr, mc), v in a.entries.items()] for a in M.actions],
+            [[(mr, mc, -v) for (mr, mc), v in a.entries.items()] for a in M.actions]]
+    structure = r.structure
     ent: dict = {}
+    get = ent.get
     for out_pos, J in enumerate(tuples_out):
         ro = out_pos * md
+        # the first entries of row block ro, one column block per i: no
+        # key repeats
         for i in range(n + 1):
-            K = J[:i] + J[i + 1:]
-            co = idx_in[K] * md
-            sign = -1 if i % 2 else 1
-            for (mr, mc), v in M.actions[J[i]].entries.items():
-                key = (ro + mr, co + mc)
-                ent[key] = ent.get(key, 0) + sign * v
+            co = idx_in[J[:i] + J[i + 1:]] * md
+            for mr, mc, x in acts[i % 2][J[i]]:
+                ent[(ro + mr, co + mc)] = x
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
+                comps = structure.get((J[i], J[j]))
+                if comps is None:
+                    continue
                 rest = J[:i] + J[i + 1:j] + J[j + 1:]
-                for k, c in r.bracket_basis(J[i], J[j]).items():
+                for k, c in comps.items():
                     if k in rest:
                         continue
                     pos = sum(1 for t in rest if t < k)
-                    T = tuple(sorted(rest + (k,)))
                     s = c if (i + j + pos) % 2 == 0 else -c
-                    co = idx_in[T] * md
+                    co = idx_in[tuple(sorted(rest + (k,)))] * md
                     for m in range(md):
                         key = (ro + m, co + m)
-                        ent[key] = ent.get(key, 0) + s
+                        y = get(key)
+                        ent[key] = s if y is None else y + s
     out = SparseMatrix(rows, cols, ent)
     M._dcache[n] = out
     return out

@@ -59,12 +59,19 @@ class SparseMatrix:
     """Immutable-by-convention sparse rational matrix.
 
     Entries are held in a dict keyed by (row, col); zeros are never stored.
+    A Fraction entry is stored as given; any other value is coerced to one.
 
     >>> m = SparseMatrix(2, 2, {(0, 0): rat(1), (1, 1): rat(2)})
     >>> m.rank()
     2
     >>> m.entry(0, 1)
     Fraction(0, 1)
+    >>> SparseMatrix(1, 4, {(0, 0): 3, (0, 1): "1/2", (0, 2): Fraction(0),
+    ...                     (0, 3): Fraction(-2, 3)}).entries
+    {(0, 0): Fraction(3, 1), (0, 1): Fraction(1, 2), (0, 3): Fraction(-2, 3)}
+    >>> SparseMatrix(1, 1, {(0, 1): 1})
+    Traceback (most recent call last):
+    ValueError: entry index (0,1) out of range
     """
 
     __slots__ = ("rows", "cols", "entries", "_rank")
@@ -78,7 +85,8 @@ class SparseMatrix:
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r},{c}) out of range")
-            v = Fraction(v)
+            if type(v) is not Fraction:
+                v = Fraction(v)
             if v:
                 clean[(r, c)] = v
         self.entries = clean

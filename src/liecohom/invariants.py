@@ -80,7 +80,8 @@ class InvariantSetup:
 def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
     """Matrix of w -> v . w on C^n(r, M) for v given in ambient coordinates.
 
-    v must be supported on the levi indices.
+    v must be supported on the levi indices. As in cochain.differential,
+    entries are accumulated as Fractions without re-coercing them.
     """
     g = setup.ambient
     if len(v) != g.dim:
@@ -94,35 +95,39 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
     md = setup.module.module_dim
     rad = setup.radical
     rad_pos = {p: a for a, p in enumerate(rad)}
-    rho_v = setup.module.action(v)
+    # moved[a]: [v, e_a] over the radical basis as (k, -c, c), the entry of
+    # a slot in even and in odd position; nonzero c only
+    moved = []
+    for b in rad:
+        comps: dict = {}
+        for li, x in enumerate(v):
+            if x:
+                for k, c in g.bracket_basis(li, b).items():
+                    kr = rad_pos[k]
+                    comps[kr] = comps.get(kr, Fraction(0)) + x * c
+        moved.append([(kr, -c, c) for kr, c in comps.items() if c])
+    rho_v = setup.module.action(v).entries.items()
     ent: dict = {}
+    get = ent.get
     tuples = space.tuples
     index = {t: a for a, t in enumerate(tuples)}
     for tpos, T in enumerate(tuples):
         ro = tpos * md
-        for (mr, mc), val in rho_v.entries.items():
-            key = (ro + mr, tpos * md + mc)
-            ent[key] = ent.get(key, 0) + val
+        # the first entries of row block ro: no key repeats
+        for (mr, mc), x in rho_v:
+            ent[(ro + mr, ro + mc)] = x
         for i, a in enumerate(T):
-            # [v, e_i] expanded over the radical basis
-            moved: dict = {}
-            for li, x in enumerate(v):
-                if not x:
-                    continue
-                for k, c in g.bracket_basis(li, rad[a]).items():
-                    kr = rad_pos[k]
-                    moved[kr] = moved.get(kr, Fraction(0)) + x * c
             rest = T[:i] + T[i + 1:]
-            for kr, c in moved.items():
-                if not c or kr in rest:
+            for kr, even, odd in moved[a]:
+                if kr in rest:
                     continue
-                p = sum(1 for t in rest if t < kr)
-                TT = tuple(sorted(rest + (kr,)))
-                sign = 1 if (i + p) % 2 == 0 else -1
-                co = index[TT] * md
+                pos = sum(1 for t in rest if t < kr)
+                x = odd if (i + pos) % 2 else even
+                co = index[tuple(sorted(rest + (kr,)))] * md
                 for m in range(md):
                     key = (ro + m, co + m)
-                    ent[key] = ent.get(key, 0) - sign * c
+                    y = get(key)
+                    ent[key] = x if y is None else y + x
     return SparseMatrix(space.dim, space.dim, ent)
 
 

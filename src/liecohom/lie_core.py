@@ -9,6 +9,7 @@ instead of raising.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exact_linalg import (
@@ -134,23 +135,25 @@ class LieAlgebra:
         return SparseMatrix(self.dim, self.dim, ent)
 
     def validate(self) -> Optional[JacobiViolation]:
-        """None when Jacobi holds on all basis triples, else the first failure."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.bracket_basis(i, j)
-                for k in range(j + 1, self.dim):
-                    res = [Fraction(0)] * self.dim
-                    for m, c in bij.items():
-                        for t, d in self.bracket_basis(m, k).items():
-                            res[t] += c * d
-                    for m, c in self.bracket_basis(j, k).items():
-                        for t, d in self.bracket_basis(m, i).items():
-                            res[t] += c * d
-                    for m, c in self.bracket_basis(k, i).items():
-                        for t, d in self.bracket_basis(m, j).items():
-                            res[t] += c * d
-                    if any(res):
-                        return JacobiViolation((i, j, k), tuple(res))
+        """None when Jacobi holds on all basis triples, else the first failure.
+
+        Triples run in lexicographic order; the residual is the dense tuple
+        of [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], read off
+        the stored brackets without copying them.
+        """
+        structure, none = self.structure, {}
+        for i, j, k in combinations(range(self.dim), 3):
+            res: dict = {}
+            # [b_k, b_i] = -[b_i, b_k]; [b_m, b_o] = -[b_o, b_m] when m > o
+            for p, q, o, negate in ((i, j, k, False), (j, k, i, False), (i, k, j, True)):
+                for m, c in structure.get((p, q), none).items():
+                    if negate != (m > o):
+                        c = -c
+                    for t, d in structure.get((m, o) if m < o else (o, m), none).items():
+                        res[t] = res.get(t, 0) + c * d
+            if any(res.values()):
+                return JacobiViolation(
+                    (i, j, k), tuple(res.get(t, Fraction(0)) for t in range(self.dim)))
         return None
 
     def to_json_dict(self) -> dict:

@@ -127,3 +127,43 @@ def permute_algebra(g: LieAlgebra, perm):
     for i, lab in enumerate(g.labels):
         labels[perm[i]] = lab
     return LieAlgebra(labels, structure, name=(g.name or "g") + "-permuted")
+
+
+def rescale_basis(g: LieAlgebra, index: int, factor):
+    """The same algebra on the basis with b_index replaced by factor * b_index."""
+    s = [Fraction(factor) if t == index else Fraction(1) for t in range(g.dim)]
+    structure = {
+        (i, j): {k: c * s[i] * s[j] / s[k] for k, c in row.items()}
+        for (i, j), row in g.structure.items()
+    }
+    return LieAlgebra(g.labels, structure, name=g.name)
+
+
+def dense_bracket(g: LieAlgebra, u, v):
+    """[u, v] summed over every ordered pair of basis indices, reading
+    [b_b, b_a] = -[b_a, b_b] off the stored constants."""
+    out = [Fraction(0)] * g.dim
+    for a in range(g.dim):
+        for b in range(g.dim):
+            if a == b or not u[a] or not v[b]:
+                continue
+            sign, key = (1, (a, b)) if a < b else (-1, (b, a))
+            for k, c in g.structure.get(key, {}).items():
+                out[k] += sign * u[a] * v[b] * c
+    return out
+
+
+def naive_jacobi(g: LieAlgebra):
+    """((i, j, k), residual) for the first triple i < j < k in lexicographic
+    order whose Jacobi sum [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j]
+    is nonzero, or None."""
+    e = [[Fraction(int(t == i)) for t in range(g.dim)] for i in range(g.dim)]
+    for i, j, k in combinations(range(g.dim), 3):
+        terms = [
+            dense_bracket(g, dense_bracket(g, e[x], e[y]), e[z])
+            for x, y, z in ((i, j, k), (j, k, i), (k, i, j))
+        ]
+        res = tuple(sum(col, Fraction(0)) for col in zip(*terms))
+        if any(res):
+            return (i, j, k), res
+    return None

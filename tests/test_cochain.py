@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -13,10 +14,10 @@ from liecohom.cochain import (
     is_cocycle,
 )
 from liecohom.exact_linalg import kernel_basis
-from liecohom.invariants import invariant_cohomology
+from liecohom.invariants import InvariantSetup, generator_actions, invariant_cohomology
 from liecohom.representations import adjoint_rep, trivial_rep
 
-from oracles import naive_d_apply, permute_algebra
+from oracles import naive_d_apply, permute_algebra, rescale_basis
 
 PSI_SCH2 = {
     ((3, 4), 0): 2,   # psi(x1, x2) = 2e
@@ -82,16 +83,26 @@ def test_d_squared_is_zero():
 
 
 def test_differential_matches_naive_oracle(rng):
+    # x_1 rescaled by 2/3: structure constants and actions 2/3 and 3/2
+    sch2_scaled = rescale_basis(catalog.schrodinger(2), 3, Fraction(2, 3))
+    assert sch2_scaled.validate() is None
     cases = [
         (catalog.schrodinger(2), "adjoint", 1),
         (catalog.schrodinger(2), "adjoint", 2),
         (catalog.heisenberg(2), "trivial", 2),
         (catalog.sl2(), "adjoint", 0),
         (catalog.schrodinger_mod_center(2), "adjoint", 2),
+        (catalog.schrodinger_mod_center(2), "trivial", 3),
+        (sch2_scaled, "adjoint", 1),
+        (sch2_scaled, "adjoint", 3),
+        (sch2_scaled, "trivial", 2),
+        (sch2_scaled, "trivial", 3),
     ]
     for g, which, n in cases:
         rep = adjoint_rep(g) if which == "adjoint" else trivial_rep(g, 1)
         d = differential(g, rep, n)
+        # no int and no stored zero may reach the elimination's v / pv
+        assert all(type(v) is Fraction and v for v in d.entries.values())
         for _ in range(3):
             vec = random_vec(rng, d.cols)
             assert list(d.apply(vec)) == naive_d_apply(g, rep, n, vec), (g.name, n)
@@ -248,3 +259,36 @@ def test_pinned_representatives(sch2, sch3, sch2_adj_setup):
     for name, (space, res) in cases.items():
         got = [space.serialize(v) for v in res.representatives]
         assert got == PINNED_REPRESENTATIVES[name], name
+
+
+def entries_sha256(m):
+    return hashlib.sha256(repr(sorted(m.entries.items())).encode()).hexdigest()
+
+
+# Entry digests recorded before assembly stopped re-coercing Fractions; the
+# matrices must stay equal entry by entry.
+PINNED_MATRICES = {
+    "d_2(sch3, adjoint)": "acd73e09ee14db9a07f5491833aee177629c014743a0d945dc134dc7b5cdf5c5",
+    "d_3(sch4, adjoint)": "b535807358e5463c94cd749125ef16682fce3d40a8da09c83b0ff82b78f2cc5d",
+    "sch3 adjoint levi action e on C^2": (
+        "a40232e17c10d5b1748f4bd2b9ec04cd2e3a01d0213089b22a51eff8b9468e61"),
+    "sch3 adjoint levi action f on C^2": (
+        "3a6388ae80cee921162d9779d6ce17152567f7f33d68eebedd2d801ebb7ed2e9"),
+    "sch3 adjoint levi action h on C^2": (
+        "8db659b6e57c16becd1f5eb9a68eeb4bd04a70df4e5da35b281d2cf3855335d1"),
+}
+
+
+def test_pinned_matrices(sch3):
+    sch4 = catalog.schrodinger(4)
+    setup = InvariantSetup(sch3, *catalog.canonical_split(sch3), adjoint_rep(sch3))
+    acts = generator_actions(setup, 2)
+    got = {
+        "d_2(sch3, adjoint)": differential(sch3, adjoint_rep(sch3), 2),
+        "d_3(sch4, adjoint)": differential(sch4, adjoint_rep(sch4), 3),
+        "sch3 adjoint levi action e on C^2": acts[0],
+        "sch3 adjoint levi action f on C^2": acts[1],
+        "sch3 adjoint levi action h on C^2": acts[2],
+    }
+    for name, m in got.items():
+        assert entries_sha256(m) == PINNED_MATRICES[name], name

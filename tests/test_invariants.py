@@ -4,6 +4,7 @@ import pytest
 
 from liecohom import catalog
 from liecohom.cochain import differential, is_coboundary, is_cocycle
+from liecohom.exact_linalg import SparseMatrix
 from liecohom.invariants import (
     InvariantSetup,
     cochain_action,
@@ -14,7 +15,7 @@ from liecohom.invariants import (
 )
 from liecohom.representations import adjoint_rep, trivial_rep
 
-from oracles import naive_cochain_action_apply
+from oracles import naive_cochain_action_apply, rescale_basis
 
 
 def ambient_unit(g, i):
@@ -52,16 +53,34 @@ def test_cochain_action_requires_levi_support(sch2_adj_setup, sch2):
 
 
 def test_cochain_action_matches_naive_oracle(sch2_adj_setup, sch2_triv_setup, rng):
-    for setup in (sch2_adj_setup, sch2_triv_setup):
-        for n in (1, 2):
+    # x_1 rescaled by 2/3: structure constants and actions 2/3 and 3/2
+    scaled = rescale_basis(catalog.schrodinger(2), 3, Fraction(2, 3))
+    split = catalog.canonical_split(scaled)
+    setups = (sch2_adj_setup, sch2_triv_setup,
+              InvariantSetup(scaled, *split, adjoint_rep(scaled)),
+              InvariantSetup(scaled, *split, trivial_rep(scaled, 1)))
+    for setup in setups:
+        for n in (1, 2, 3):
             dim = setup.cochain_space(n).dim
             for li in setup.levi:
                 v = ambient_unit(setup.ambient, li)
                 mat = cochain_action(setup, v, n)
+                assert all(type(x) is Fraction and x for x in mat.entries.values())
                 vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
                 assert list(mat.apply(vec)) == naive_cochain_action_apply(
                     setup, li, n, vec
                 )
+            # a levi element with non-integer coordinates acts linearly
+            coeffs = (Fraction(1, 2), Fraction(-3), Fraction(5, 7))
+            v = [Fraction(0)] * setup.ambient.dim
+            expected = SparseMatrix.zero(dim, dim)
+            for li, x in zip(setup.levi, coeffs):
+                v[li] = x
+                expected = expected + cochain_action(
+                    setup, ambient_unit(setup.ambient, li), n).scale(x)
+            mat = cochain_action(setup, v, n)
+            assert all(type(x) is Fraction and x for x in mat.entries.values())
+            assert mat == expected
 
 
 def test_action_commutes_with_differential(sch2_adj_setup):

@@ -23,6 +23,8 @@ from liecohom.lie_core import (
 )
 from liecohom.representations import adjoint_rep
 
+from oracles import naive_jacobi
+
 coords = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
 
 
@@ -45,6 +47,33 @@ def test_validate_reports_first_failure():
     assert violation.triple == (0, 1, 2)
     assert any(violation.residual)
     assert "basis triple (0,1,2)" in str(violation)
+
+
+@given(
+    st.sampled_from(["sl2", "heisenberg:1", "schrodinger:2", "schrodinger-quotient:2"]),
+    st.lists(
+        st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99),
+                  st.fractions(-3, 3, max_denominator=3)),
+        max_size=3,
+    ),
+)
+def test_validate_matches_naive_jacobi(spec, changes):
+    """Overwrite a few structure constants at random; validate must give
+    the naive oracle's first failing triple and dense residual."""
+    g = catalog.resolve(spec)
+    structure = {key: dict(row) for key, row in g.structure.items()}
+    for a, b, k, c in changes:
+        i, j = sorted((a % g.dim, b % g.dim))
+        if i != j:
+            structure.setdefault((i, j), {})[k % g.dim] = c
+    perturbed = LieAlgebra(g.labels, structure)
+    violation = perturbed.validate()
+    expected = naive_jacobi(perturbed)
+    if expected is None:
+        assert violation is None
+    else:
+        assert (violation.triple, violation.residual) == expected
+        assert all(type(x) is Fraction for x in violation.residual)
 
 
 def test_structure_validation_errors():
