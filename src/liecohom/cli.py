@@ -326,7 +326,8 @@ def cmd_hs_check(args) -> int:
 # family        (catalog constructor, n): n is None for sl2, "n" for every
 #               n = 2..n_max, or a fixed int. Consecutive rows of one family
 #               are evaluated on one algebra per n and share its modules and
-#               invariant setups.
+#               invariant setups; a fixed-n family that an n-family also
+#               reaches shares that n-family's algebra at n.
 # label         a format string in n.
 # quantity      "H": dim H^degree(g, M); "H+hs": the same, with the
 #               factorized Hochschild-Serre sum as a note; "Z", "B":
@@ -392,7 +393,7 @@ CLAIMS = (
 # wrong sparse rank shows as a mismatch. A differential is cached by its
 # module and shared by several rows, so its rank comes through the
 # differential_rank argument, certified_rank memoised per matrix object by
-# _algebra_rows; a matrix built for one oracle is certified directly. The
+# _Algebra; a matrix built for one oracle is certified directly. The
 # "dense" in their names is historical; bench/tracer.py targets them by name.
 #
 # The evaluator calls the oracles, _cocycle_claims, the catalog
@@ -474,29 +475,38 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
                 cobound == dense_cobound)
 
 
-def _algebra_rows(build: str, n, claims: list) -> list:
-    """Rows of one family at one n. The algebra, its modules, invariant
-    setups and invariant cohomology are shared by these rows only."""
-    make = getattr(catalog, build)
-    g = make() if n is None else make(n)
-    modules, setups, inv, certified = {}, {}, {}, {}
+class _Algebra:
+    """One algebra of the claim table and what its rows share: its modules,
+    invariant setups, invariant cohomology and certified ranks."""
 
-    def module(coeff):
-        if coeff not in modules:
-            modules[coeff] = _coeff_rep(g, coeff)
-        return modules[coeff]
+    def __init__(self, build: str, n):
+        make = getattr(catalog, build)
+        self.n = n
+        self.g = make() if n is None else make(n)
+        self.modules, self.setups, self.inv, self.certified = {}, {}, {}, {}
 
-    def setup(coeff):
-        if coeff not in setups:
-            setups[coeff] = InvariantSetup(g, *catalog.canonical_split(g), module(coeff))
-        return setups[coeff]
+    def module(self, coeff):
+        if coeff not in self.modules:
+            self.modules[coeff] = _coeff_rep(self.g, coeff)
+        return self.modules[coeff]
 
-    def differential_rank(m):
+    def setup(self, coeff):
+        if coeff not in self.setups:
+            self.setups[coeff] = InvariantSetup(
+                self.g, *catalog.canonical_split(self.g), self.module(coeff))
+        return self.setups[coeff]
+
+    def differential_rank(self, m):
         # keyed by id and holding m, so that no id is reused while memoised
-        if id(m) not in certified:
-            certified[id(m)] = (m, certified_rank(m))
-        return certified[id(m)][1]
+        if id(m) not in self.certified:
+            self.certified[id(m)] = (m, certified_rank(m))
+        return self.certified[id(m)][1]
 
+
+def _algebra_rows(alg: _Algebra, claims: list) -> list:
+    """Rows of one family on one algebra."""
+    g, n, module, setup, inv = alg.g, alg.n, alg.module, alg.setup, alg.inv
+    differential_rank = alg.differential_rank
     rows = []
     for _, label, quantity, coeff, p, stated in claims:
         if callable(stated):
@@ -543,12 +553,19 @@ def _algebra_rows(build: str, n, claims: list) -> list:
 
 
 def _verify_rows(n_max: int) -> list:
-    """Evaluate CLAIMS in order, each n-family for n = 2..n_max."""
+    """Evaluate CLAIMS in order, each n-family for n = 2..n_max. A fixed-n
+    family that an n-family also reaches (sch_2, g_2) is evaluated on the
+    algebra built for the n-family's rows; only those algebras are kept."""
+    fixed = {family for family, *_ in CLAIMS if isinstance(family[1], int)}
+    kept = {}
     rows = []
     for (build, n), claims in groupby(CLAIMS, key=lambda claim: claim[0]):
         claims = list(claims)
         for m in range(2, n_max + 1) if n == "n" else (n,):
-            rows += _algebra_rows(build, m, claims)
+            alg = kept.pop((build, m), None) or _Algebra(build, m)
+            if n == "n" and (build, m) in fixed:
+                kept[build, m] = alg
+            rows += _algebra_rows(alg, claims)
     return rows
 
 
@@ -595,6 +612,10 @@ def _random_cochain(rng: random.Random, dim: int) -> tuple:
 
 def cmd_selftest(args) -> int:
     started = time.monotonic()
+    for flag, count in (("--rank-trials", args.rank_trials),
+                        ("--extension-trials", args.extension_trials)):
+        if count < 0:
+            raise UsageError(f"{flag} must be nonnegative")
     rng = random.Random(args.seed)
     rank_trials = 0
     rank_failures = 0

@@ -32,7 +32,7 @@ from .exact_linalg import (
     rat_str,
     to_dense,
 )
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, as_index
 from .representations import Representation
 
 
@@ -108,7 +108,7 @@ class CochainSpace:
         vec = [Fraction(0)] * self.dim
         try:
             for I, m, c in data:
-                vec[self.index_of(tuple(int(i) for i in I), int(m))] += rat(c)
+                vec[self.index_of(tuple(as_index(i) for i in I), as_index(m))] += rat(c)
         except TypeError as exc:
             raise ValueError(f"malformed cochain data: {exc}") from exc
         return tuple(vec)

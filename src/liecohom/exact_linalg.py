@@ -4,6 +4,14 @@ Sparse matrices with Fraction entries, rank by sparse elimination, kernel
 bases, and canonical subspaces (reduced row echelon bases, so that two
 subspaces are equal as spans iff their stored bases are equal).
 
+The elimination runs on integers. Each row is scaled once, where it is
+made, by the lcm of its denominators; that changes neither its span nor
+its zero pattern, so the pivots are those of rational elimination. Rows
+are then combined by integer multipliers and divided by the gcd of their
+entries (fraction-free elimination). Fractions come back only at the
+Subspace boundary: each reduced row is divided by its pivot value, so
+Subspace rows hold exact Fractions with 1 on every pivot.
+
 Two rank checks stand apart from the sparse elimination. rank_dense is a
 deliberately independent dense elimination. certified_rank proves a rank
 from the sparse elimination's own output: its kernel basis, checked to be
@@ -14,6 +22,7 @@ not meet, rank_dense decides.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -221,7 +230,7 @@ class SparseMatrix:
         0
         """
         if self._rank is None:
-            self._rank = sum(1 for _ in _echelon(self.row_dicts()))
+            self._rank = sum(1 for _ in _echelon(_integer_rows(self.row_dicts())))
         return self._rank
 
 
@@ -345,18 +354,36 @@ def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
     return True
 
 
+def _integer_rows(rows: list) -> list:
+    """Scale each {col: rational} row of rows, in place, by the lcm of its
+    denominators, so that every value becomes an int; returns rows."""
+    for row in rows:
+        den = 1
+        for v in row.values():
+            if v.denominator != 1:
+                den = lcm(den, v.denominator)
+        for k, v in row.items():
+            row[k] = v.numerator * (den // v.denominator)
+    return rows
+
+
 def _echelon(rows: list):
-    """Forward elimination of sparse rows, the one elimination kernel.
+    """Fraction-free forward elimination of sparse integer rows, the one
+    elimination kernel.
 
     Goes through the columns in order and yields (pivot_col, row_id, row)
     for each pivot: row_id is the pivot row's index in rows, and row the
-    pivot row normalized so that row[pivot_col] == 1 and free of every
-    earlier pivot column. The pivot is the sparsest row holding the column,
-    ties going to the lowest row id; a column index (column -> ids of the
-    rows holding it) finds the rows without scanning. The index holds
-    lists, not sets: columns are short, and a set costs several times the
-    memory of a list. Consumes rows, a list of {col: value} dicts: pivot
-    rows are taken out of it and the others are reduced in place.
+    pivot row, free of every earlier pivot column, with its pivot value at
+    row[pivot_col]. The pivot is the sparsest row holding the column, ties
+    going to the lowest row id; a column index (column -> ids of the rows
+    holding it) finds the rows without scanning. The index holds lists, not
+    sets: columns are short, and a set costs several times the memory of a
+    list. A row holding the column becomes a*row - b*prow, with the
+    multipliers of _scale, and when a != 1 it is then divided by the gcd of
+    its entries. Integer rows keep the zero patterns of the rational rows
+    they stand for, so pivots and counts are those of rational elimination.
+    Consumes rows, a list of {col: int} dicts: pivot rows are taken out of
+    it and the others are reduced in place.
     """
     col_rows: dict = {}
     for rid, row in enumerate(rows):
@@ -373,15 +400,12 @@ def _echelon(rows: list):
             if k != c:
                 col_rows[k].remove(p)
         pv = prow[c]
-        if pv != 1:
-            prow = {k: v / pv for k, v in prow.items()}
+        tail = [(k, v) for k, v in prow.items() if k != c]
         for rid in holders:
             row = rows[rid]
-            f = row.pop(c)
-            for k, v in prow.items():
-                if k == c:
-                    continue
-                nv = row.get(k, 0) - f * v
+            a, b = _scale(row, pv, row.pop(c))
+            for k, v in tail:
+                nv = row.get(k, 0) - b * v
                 if nv:
                     if k not in row:
                         col_rows.setdefault(k, []).append(rid)
@@ -389,22 +413,58 @@ def _echelon(rows: list):
                 else:
                     del row[k]
                     col_rows[k].remove(rid)
+            if a != 1:
+                _divide_content(row)
         yield c, p, prow
 
 
 def _rref(rows: list) -> list:
-    """Reduced row echelon form of sparse rows, as the (pivot_col, row_id,
-    row) triples of _echelon with every pivot column cleared from the other
-    rows. RREF is unique, so the output is canonical. Consumes rows."""
+    """Reduced row echelon form of sparse integer rows, as the (pivot_col,
+    row_id, row) triples of _echelon with every pivot column cleared from
+    the other rows. The back substitution is fraction-free like _echelon;
+    only then is each row divided by its pivot value, so the rows come out
+    as {col: Fraction} dicts with an exact 1 on the pivot. RREF is unique,
+    so the output is canonical. Consumes rows."""
     finished = list(_echelon(rows))
     # back substitution, last pivot first: the rows in reduced are free of
-    # every other pivot column, so subtracting them adds no pivot column
+    # every other pivot column, so combining with them adds no pivot column
     reduced: dict = {}
     for c, _, row in reversed(finished):
         for p in [k for k in row if k in reduced]:
-            _subtract(row, row[p], reduced[p])
+            prow = reduced[p]
+            a, b = _scale(row, prow[p], row[p])
+            _subtract(row, b, prow)
+            if a != 1:
+                _divide_content(row)
         reduced[c] = row
+    for c, _, row in finished:
+        pv = row[c]
+        for k, v in row.items():
+            row[k] = Fraction(v, pv)
     return finished
+
+
+def _scale(row: dict, pv: int, f: int) -> tuple:
+    """(a, b) with a*f == b*pv: a = pv/g and b = f/g for g = gcd(pv, f)
+    taken with the sign of pv, so a > 0. Multiplies the integer row by a
+    in place, ready for subtracting b times the row whose pivot value is
+    pv."""
+    g = gcd(pv, f)
+    if pv < 0:
+        g = -g
+    a = pv // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    return a, f // g
+
+
+def _divide_content(row: dict) -> None:
+    """Divide the integer row, in place, by the gcd of its entries."""
+    h = gcd(*row.values())
+    if h > 1:
+        for k in row:
+            row[k] //= h
 
 
 def _subtract(w: dict, f, row: dict) -> None:
@@ -476,12 +536,13 @@ class Subspace:
                 items = enumerate(vec)
             row = {}
             for i, v in items:
-                v = Fraction(v)
+                if not isinstance(v, (int, Fraction)):
+                    v = Fraction(v)
                 if v:
                     row[i] = v
             if row:
                 rows.append(row)
-        finished = _rref(rows)
+        finished = _rref(_integer_rows(rows))
         return cls(ambient_dim, tuple(row for _, _, row in finished),
                    tuple(c for c, _, _ in finished))
 
@@ -555,7 +616,7 @@ def kernel_basis(m: SparseMatrix, pivots: Optional[list] = None) -> Subspace:
     >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).basis
     ((Fraction(1, 1), Fraction(-1, 2)),)
     """
-    finished = _rref(m.row_dicts())
+    finished = _rref(_integer_rows(m.row_dicts()))
     if pivots is not None:
         row_ids = sorted({r for r, _ in m.entries})  # the rows of row_dicts
         pivots.extend((c, row_ids[rid]) for c, rid, _ in finished)

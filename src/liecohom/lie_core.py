@@ -65,6 +65,21 @@ class ActionNotHomomorphism(Exception):
         super().__init__(f"action does not respect the bracket of pair {pair}")
 
 
+def as_index(x) -> int:
+    """Coerce a basis or module index read from a file to an int. A float
+    or a bool is refused rather than truncated.
+
+    >>> as_index(2), as_index("3")
+    (2, 3)
+    >>> as_index(1.7)
+    Traceback (most recent call last):
+    ValueError: non-integer index 1.7
+    """
+    if isinstance(x, (bool, float)):
+        raise ValueError(f"non-integer index {x!r}")
+    return int(x)
+
+
 def _clean_structure(dim: int, structure) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
     clean: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
     for (i, j), comps in structure.items():
@@ -178,14 +193,15 @@ class LieAlgebra:
             name = data.get("name", "")
             structure: dict = {}
             for item in data.get("brackets", []):
-                i, j = int(item["left"]), int(item["right"])
+                i, j = as_index(item["left"]), as_index(item["right"])
                 if i >= j:
                     raise ValueError(
                         f"bracket pair ({i},{j}) must have left < right"
                     )
                 comps = {}
                 for k, c in item["result"]:
-                    comps[int(k)] = comps.get(int(k), Fraction(0)) + rat(c)
+                    k = as_index(k)
+                    comps[k] = comps.get(k, Fraction(0)) + rat(c)
                 if (i, j) in structure:
                     raise ValueError(f"duplicate bracket pair ({i},{j})")
                 structure[(i, j)] = comps

@@ -167,3 +167,28 @@ def naive_jacobi(g: LieAlgebra):
         if any(res):
             return (i, j, k), res
     return None
+
+
+def gauss_jordan(n: int, vectors):
+    """(rows, pivots) of the reduced row echelon form of the span of the
+    length-n vectors, by textbook Gauss-Jordan elimination on dense Fraction
+    rows: first nonzero row as pivot, pivot row divided by its pivot value,
+    the column cleared from every other row. rows are {coordinate: value}
+    dicts without zeros."""
+    rows = [[Fraction(x) for x in vec] for vec in vectors]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    out = tuple({k: x for k, x in enumerate(row) if x} for row in rows[:len(pivots)])
+    return out, tuple(pivots)

@@ -75,6 +75,10 @@ def test_usage_errors_exit_1(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error: --degree"), argv
+    for flag in ("--rank-trials", "--extension-trials"):
+        code, _, err = run(capsys, "selftest", flag, "-1")
+        assert code == 1, flag
+        assert err.startswith(f"error: {flag}") and "must be nonnegative" in err
 
 
 def test_cohomology_examples(capsys):
@@ -205,8 +209,15 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     float_coeff = catalog.sl2().to_json_dict()
     float_coeff["brackets"][0]["result"] = [[2, 0.1]]
+    float_pair = {"basis": ["a", "b", "c"],
+                  "brackets": [{"left": 0.9, "right": 1.7, "result": [[2.2, "1"]]}]}
+    bool_left = {"basis": ["a", "b", "c"],
+                 "brackets": [{"left": False, "right": 1, "result": [[2, "1"]]}]}
+    float_target = {"basis": ["a", "b", "c"],
+                    "brackets": [{"left": 0, "right": 1, "result": [[2.0, "1"]]}]}
     for data, words in ((zero_den, "1/0"), (string_basis, "basis"),
-                        (float_coeff, "0.1")):
+                        (float_coeff, "0.1"), (float_pair, "0.9"),
+                        (bool_left, "False"), (float_target, "2.0")):
         path.write_text(json.dumps(data))
         code, _, err = run(capsys, "info", f"file:{path}")
         assert code == 2
@@ -221,6 +232,10 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         ("[[[0, 1], 0, null]]", "malformed cochain"),
         ("[[[0, 1], 0]]", "unpack"),
         ("[[[0, 1], 0, 0.5]]", "0.5"),
+        ('[[[0, 1.0], 0, "1"]]', "1.0"),
+        ('[[[0, 1], 0.0, "1"]]', "0.0"),
+        ('[[[false, 1], 0, "1"]]', "False"),
+        ('[[[0, 1], true, "1"]]', "True"),
     ):
         path.write_text(text)
         code, _, err = run(

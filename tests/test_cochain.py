@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -292,3 +293,15 @@ def test_pinned_matrices(sch3):
     }
     for name, m in got.items():
         assert entries_sha256(m) == PINNED_MATRICES[name], name
+
+
+def test_pinned_pivots():
+    """The (column, row) pivots that kernel_basis takes on d_3(sch4,
+    adjoint), recorded when elimination still ran on Fractions: the
+    certificate's minor and the traced work counters depend on them."""
+    sch4 = catalog.schrodinger(4)
+    pivots = []
+    ker = kernel_basis(differential(sch4, adjoint_rep(sch4), 3), pivots)
+    assert (len(pivots), ker.dim) == (1925, 715)
+    assert hashlib.sha256(json.dumps(pivots).encode()).hexdigest() == (
+        "33c983caf3ae3fbef59d04094855b908cff2db4c5db2cdd35800ad56926d3d57")

@@ -17,6 +17,8 @@ from liecohom.exact_linalg import (
     rat_str,
 )
 
+from oracles import gauss_jordan
+
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
@@ -55,11 +57,6 @@ def test_entry_validation():
     assert SparseMatrix(2, 2, {(0, 0): 0}).nnz == 0
 
 
-@given(matrices())
-def test_rank_agrees_with_dense_oracle(m):
-    assert m.rank() == rank_dense(m)
-
-
 @st.composite
 def rational_matrices(draw, max_rows=8, max_cols=8):
     """Any shape from 0x0 up, entries with denominators up to 6."""
@@ -69,6 +66,12 @@ def rational_matrices(draw, max_rows=8, max_cols=8):
     ent = {(r, c): draw(entry) for r in range(rows) for c in range(cols)
            if draw(st.booleans())}
     return SparseMatrix(rows, cols, ent)
+
+
+@given(st.one_of(matrices(), rational_matrices()))
+def test_rank_agrees_with_dense_oracle(m):
+    assert m.rank() == rank_dense(m)
+    assert m.cols - kernel_basis(m).dim == rank_dense(m)
 
 
 @given(rational_matrices())
@@ -120,6 +123,48 @@ def test_certified_rank_falls_back_when_the_prime_divides_a_denominator(monkeypa
                         lambda m: called.append(m) or dense(m))
     assert certified_rank(m) == 2
     assert called == [m]
+
+
+def test_echelon_pivot_rows_are_integer_and_content_free():
+    # row 1 is the sparser and holds column 0 with pivot value 4; row 0
+    # becomes 2 (2, 1, 1) - (4, 0, 6) = (0, 2, -4), divided by its content 2
+    rows = [{0: 2, 1: 1, 2: 1}, {0: 4, 2: 6}]
+    assert list(exact_linalg._echelon(rows)) == [
+        (0, 1, {0: 4, 2: 6}), (1, 0, {1: 1, 2: -2})]
+    # a negative pivot value: the multiplier of the reduced row stays
+    # positive, 2 (3, 1, 1) + 3 (-2, 1, 0) = (0, 5, 2)
+    rows = [{0: -2, 1: 1}, {0: 3, 1: 1, 2: 1}]
+    assert list(exact_linalg._echelon(rows)) == [
+        (0, 0, {0: -2, 1: 1}), (1, 1, {1: 5, 2: 2})]
+
+
+@st.composite
+def rational_vectors(draw):
+    """Vectors with entries of denominators 1 to 7, both signs, plus a
+    nonunit multiple of the sum of the first two: elimination meets
+    negative and nonunit pivots, a dependent row and, when the sum is
+    integral, a row with a common factor."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=7))
+    vectors = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n + 2))
+    if len(vectors) >= 2:
+        k = draw(st.sampled_from((-6, -3, -2, 2, 3, 4)))
+        vectors.append([k * (x + y) for x, y in zip(vectors[0], vectors[1])])
+    return n, vectors
+
+
+@given(rational_vectors())
+@example((3, [(2, 1, 1), (4, 0, 6)]))
+@example((3, [(-2, 1, 0), (3, 1, 1)]))
+@example((2, [(Fraction(-2, 3), Fraction(1, 7)), (Fraction(1, 2), Fraction(5, 6))]))
+def test_from_vectors_matches_gauss_jordan(case):
+    n, vectors = case
+    u = Subspace.from_vectors(n, vectors)
+    assert (u.rows, u.pivots) == gauss_jordan(n, vectors)
+    assert all(type(v) is Fraction for row in u.rows for v in row.values())
+    assert all(type(row[p]) is Fraction and row[p] == 1
+               for p, row in zip(u.pivots, u.rows))
 
 
 @given(matrices())
