@@ -16,13 +16,13 @@ from .exact_linalg import SparseMatrix
 from .lie_core import LieAlgebra, center, quotient, semidirect
 
 
+# [e,f] = h, [h,e] = 2e, [h,f] = -2f on the basis (e, f, h)
+_SL2_BRACKETS = {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}}
+
+
 def sl2() -> LieAlgebra:
     """Basis (e, f, h) with [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
-    return LieAlgebra(
-        ["e", "f", "h"],
-        {(0, 1): {2: 1}, (0, 2): {0: -2}, (1, 2): {1: 2}},
-        name="sl2",
-    )
+    return LieAlgebra(["e", "f", "h"], _SL2_BRACKETS, name="sl2")
 
 
 def heisenberg(n: int) -> LieAlgebra:
@@ -149,10 +149,13 @@ def canonical_split(g: LieAlgebra) -> Optional[Tuple[tuple, tuple]]:
     """Default (levi, radical) index split for catalog algebras that have one.
 
     For the semidirect catalog entries the levi part is the leading
-    (e, f, h) triple and the radical the rest. None when no canonical
-    split is known.
+    (e, f, h) triple and the radical the rest. A name is not trusted on
+    its own, since a file may carry any name: the leading triple must
+    bracket as sl2's does. None when no canonical split is known.
     """
     name = g.name or ""
-    if name.startswith("schrodinger:") or name.startswith("schrodinger-quotient:"):
-        return (0, 1, 2), tuple(range(3, g.dim))
-    return None
+    if not name.startswith(("schrodinger:", "schrodinger-quotient:")):
+        return None
+    if any(g.structure.get(pair) != bracket for pair, bracket in _SL2_BRACKETS.items()):
+        return None
+    return (0, 1, 2), tuple(range(3, g.dim))

@@ -15,10 +15,12 @@ Subspace rows hold exact Fractions with 1 on every pivot.
 Two rank checks stand apart from the sparse elimination. rank_dense is a
 deliberately independent dense elimination. certified_rank proves a rank
 from the sparse elimination's own output: its kernel basis, checked to be
-independent and annihilated exactly, bounds the rank from above, and the
-minor on its pivot rows and columns, checked nonsingular modulo a prime by
-a dense elimination of its own, bounds it from below. When the bounds do
-not meet, rank_dense decides.
+independent and annihilated exactly (an integer product), bounds the rank
+from above, and the minor on its pivot rows and columns, checked
+nonsingular modulo a prime by a sparse elimination of its own, bounds it
+from below. Both checks are written apart from _echelon and its helpers,
+so a fault there cannot certify itself. When the bounds do not meet,
+rank_dense decides.
 """
 
 from fractions import Fraction
@@ -279,11 +281,12 @@ def certified_rank(m: SparseMatrix) -> int:
     rank_dense deciding whenever the proof does not close.
 
     Upper bound: the kernel_basis vectors are independent by their RREF
-    pattern and m k = 0 is checked exactly for each, so rank <= cols - dim
-    ker. Lower bound: the minor of m on the r pivot rows and columns of the
-    same elimination is nonsingular modulo the prime _P, hence over Q, so
-    rank >= r. The two meet when r = cols - dim ker. Neither bound reads
-    m.rank(), so a wrong sparse rank cannot certify itself.
+    pattern and m k = 0 is checked exactly for each, in integers, so rank
+    <= cols - dim ker. Lower bound: the minor of m on the r pivot rows and
+    columns of the same elimination is nonsingular modulo the prime _P,
+    hence over Q, so rank >= r; a sparse elimination mod _P in the same
+    pivot order shows it. The two meet when r = cols - dim ker. Neither
+    bound reads m.rank(), so a wrong sparse rank cannot certify itself.
 
     >>> certified_rank(SparseMatrix.from_rows([[1, 2], [2, 4]]))
     1
@@ -298,21 +301,34 @@ def certified_rank(m: SparseMatrix) -> int:
 
 def _annihilates(m: SparseMatrix, ker: "Subspace") -> bool:
     """ker's rows are independent (1 on their own pivot, 0 on every other
-    pivot) and m k = 0 exactly for each row k, by a column-indexed product."""
+    pivot) and m k = 0 exactly for each row k. The product runs in integers
+    by a column-indexed sweep: each row of m is scaled by the lcm of its
+    denominators, which leaves its zero products zero, and so is each k."""
     pivots = set(ker.pivots)
     if ker.ambient_dim != m.cols or len(pivots) != len(ker.rows):
         return False
     for p, row in zip(ker.pivots, ker.rows):
         if row.get(p) != 1 or any(row[k] for k in row if k != p and k in pivots):
             return False
+    dens: dict = {}
+    for (r, _), v in m.entries.items():
+        d = v.denominator
+        if d != 1:
+            dens[r] = lcm(dens.get(r, 1), d)
     by_col: dict = {}
     for (r, c), v in m.entries.items():
-        by_col.setdefault(c, []).append((r, v))
+        scaled = v.numerator * (dens.get(r, 1) // v.denominator)
+        by_col.setdefault(c, []).append((r, scaled))
     for row in ker.rows:
+        den = 1
+        for x in row.values():
+            if x.denominator != 1:
+                den = lcm(den, x.denominator)
         out: dict = {}
         for c, x in row.items():
             if not 0 <= c < m.cols:
                 return False
+            x = x.numerator * (den // x.denominator)
             for r, v in by_col.get(c, ()):
                 out[r] = out.get(r, 0) + v * x
         if any(out.values()):
@@ -322,35 +338,58 @@ def _annihilates(m: SparseMatrix, ker: "Subspace") -> bool:
 
 def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
     """The minor of m on the (column, row) positions is nonsingular modulo
-    _P: a dense forward elimination over Z/_P, rows and columns in pivot
-    order. False when _P divides a denominator inside the minor."""
+    _P, by a sparse forward elimination over Z/_P in the given pivot order.
+
+    The minor is held as {column: value mod _P} rows, numbered in pivot
+    order, with a column index (column -> ids of the rows holding it). For
+    column j the pivot is row j, the row the checked elimination took,
+    while it holds the column, and otherwise the lowest remaining row that
+    does; fill-in then stays inside the fill-in of that elimination. False
+    when no remaining row holds a column, or when _P divides a denominator
+    inside the minor."""
     n = len(pivots)
     col_of = {c: j for j, (c, _) in enumerate(pivots)}
     row_of = {r: i for i, (_, r) in enumerate(pivots)}
     if len(col_of) != n or len(row_of) != n:
         return False
-    a = [[0] * n for _ in range(n)]
+    rows: list = [{} for _ in range(n)]
     for (r, c), v in m.entries.items():
         i, j = row_of.get(r), col_of.get(c)
         if i is None or j is None:
             continue
         if v.denominator % _P == 0:
             return False
-        a[i][j] = v.numerator * pow(v.denominator, -1, _P) % _P
+        x = v.numerator * pow(v.denominator, -1, _P) % _P
+        if x:
+            rows[i][j] = x
+    holders: list = [[] for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].append(i)
     for j in range(n):
-        piv = next((i for i in range(j, n) if a[i][j]), None)
-        if piv is None:
+        col = holders[j]
+        if not col:
             return False
-        a[j], a[piv] = a[piv], a[j]
-        prow = a[j]
+        p = j if rows[j] is not None and j in rows[j] else min(col)
+        col.remove(p)
+        prow, rows[p] = rows[p], None
+        for k in prow:
+            if k != j:
+                holders[k].remove(p)
         inv = pow(prow[j], -1, _P)
-        tail = [(k, prow[k]) for k in range(j + 1, n) if prow[k]]
-        for i in range(j + 1, n):
-            row = a[i]
-            if row[j]:
-                f = row[j] * inv % _P
-                for k, x in tail:
-                    row[k] = (row[k] - f * x) % _P
+        tail = [(k, x) for k, x in prow.items() if k != j]
+        for i in col:
+            row = rows[i]
+            f = row.pop(j) * inv % _P
+            for k, x in tail:
+                nv = (row.get(k, 0) - f * x) % _P
+                if nv:
+                    if k not in row:
+                        holders[k].append(i)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    holders[k].remove(i)
     return True
 
 

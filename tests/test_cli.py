@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecohom import catalog
+from liecohom import catalog, exact_linalg
 from liecohom.cli import main
 from liecohom.cochain import CochainSpace, differential, is_cocycle
 from liecohom.exact_linalg import SparseMatrix
+from liecohom.lie_core import LieAlgebra
 from liecohom.representations import adjoint_rep
 
 
@@ -256,6 +257,30 @@ def test_levi_not_a_subalgebra_exits_2(capsys):
         assert err.startswith("error:") and "leaves the span" in err, command
 
 
+def test_file_names_do_not_choose_the_split(capsys, tmp_path):
+    # a file may carry any name: sch_2 with its basis reordered and an
+    # abelian algebra, both named as catalog entries, have no default split
+    g = catalog.schrodinger(2)
+    order = [g.labels.index(x) for x in ("x1", "y1", "z", "e", "f", "h", "x2", "y2")]
+    at = {old: new for new, old in enumerate(order)}
+    structure = {}
+    for (i, j), comps in g.structure.items():
+        sign = 1 if at[i] < at[j] else -1
+        structure[tuple(sorted((at[i], at[j])))] = {
+            at[k]: sign * c for k, c in comps.items()}
+    moved = LieAlgebra([g.labels[i] for i in order], structure, name="schrodinger:2")
+    assert moved.validate() is None
+    flat = LieAlgebra(catalog.abelian(6).labels, {}, name="schrodinger:1")
+    path = tmp_path / "g.json"
+    for h in (moved, flat):
+        path.write_text(catalog.serialize(h))
+        for command in ("hs-check", "invariant-cohomology"):
+            code, _, err = run(capsys, command, "--ambient", f"file:{path}",
+                               "--coeff", "adjoint", "--degree", "2")
+            assert code == 1, (h.name, command)
+            assert "no canonical split" in err, (h.name, command)
+
+
 @st.composite
 def split_invocations(draw):
     spec, dim = draw(st.sampled_from(
@@ -336,6 +361,17 @@ def test_verify_paper_rows(capsys):
     assert (h2["stated"], h2["computed"], h2["status"]) == ("0", "0", "PASS")
     assert h2["note"] == "factorized dim 0, agree=True"
     assert all(r["oracle_ok"] for r in payload["rows"])
+
+
+def test_verify_paper_certifies_every_rank(capsys, monkeypatch):
+    # the oracle ranks stay right when every certificate fails, because
+    # rank_dense decides then; only its call count shows the failure
+    called = []
+    dense = exact_linalg.rank_dense
+    monkeypatch.setattr(exact_linalg, "rank_dense", lambda m: called.append(m) or dense(m))
+    code, _, _ = run(capsys, "verify-paper", "--n-max", "3")
+    assert code == 0
+    assert called == []
 
 
 def test_wrong_sparse_rank_trips_its_oracle(capsys, monkeypatch):

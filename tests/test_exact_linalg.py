@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecohom import exact_linalg
@@ -80,6 +80,67 @@ def test_rank_agrees_with_dense_oracle(m):
 @example(SparseMatrix.zero(5, 0))
 def test_certified_rank_agrees_with_dense_oracle(m):
     assert certified_rank(m) == rank_dense(m)
+
+
+@given(rational_matrices())
+def test_certified_rank_needs_no_fallback(m):
+    # a certificate that failed on every input would still give right
+    # ranks through rank_dense, so count the fallback's calls
+    called = []
+    dense = exact_linalg.rank_dense
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_linalg, "rank_dense", lambda m: called.append(m) or dense(m))
+        certified_rank(m)
+    assert called == []
+
+
+@st.composite
+def minor_positions(draw):
+    """A rational matrix and (column, row) positions in it: distinct rows
+    and columns in any order, sometimes with one position repeated."""
+    m = draw(rational_matrices())
+    k = max(0, min(m.rows, m.cols) - draw(st.integers(0, 2)))
+    cols = draw(st.permutations(range(m.cols)))[:k]
+    rows = draw(st.permutations(range(m.rows)))[:k]
+    positions = list(zip(cols, rows))
+    if positions and draw(st.booleans()):
+        positions.insert(draw(st.integers(0, k)), draw(st.sampled_from(positions)))
+    return m, positions
+
+
+@settings(max_examples=200)
+@given(minor_positions())
+def test_minor_nonsingular_agrees_with_dense_oracle(case):
+    m, positions = case
+    n = len(positions)
+    minor = SparseMatrix(n, n, {(i, j): m.entry(r, c) for i, (_, r) in enumerate(positions)
+                                for j, (c, _) in enumerate(positions)})
+    assert exact_linalg._minor_nonsingular(m, positions) == (rank_dense(minor) == n)
+
+
+def test_minor_nonsingular_pivots_off_the_diagonal_after_fill_in():
+    # column 0 takes row 0, and row 2 becomes (0, -1, 0): column 1 is then
+    # held only by that fill-in, not by row 1, the row given for it
+    positions = [(0, 0), (1, 1), (2, 2)]
+    m = SparseMatrix.from_rows([[1, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert exact_linalg._minor_nonsingular(m, positions)
+    # rows 0 and 2 equal: no row is left to hold column 1
+    m = SparseMatrix.from_rows([[1, 1, 0], [0, 0, 1], [1, 1, 0]])
+    assert not exact_linalg._minor_nonsingular(m, positions)
+
+
+def test_annihilates_scales_rows_with_denominators():
+    m = SparseMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3), 0, 1],
+                                [0, Fraction(2, 5), Fraction(1, 7), Fraction(-3, 4)]])
+    ker = kernel_basis(m)
+    assert ker.dim == 2
+    assert any(v.denominator != 1 for row in ker.rows for v in row.values())
+    assert exact_linalg._annihilates(m, ker)
+    row = dict(ker.rows[0])
+    k = next(k for k in row if k != ker.pivots[0])
+    row[k] += Fraction(1, 7)
+    moved = Subspace(ker.ambient_dim, (row,) + ker.rows[1:], ker.pivots)
+    assert not exact_linalg._annihilates(m, moved)
 
 
 def _drop_vector(ker, pivots):
