@@ -104,6 +104,8 @@ def parse_algebra(text: str) -> LieAlgebra:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     g = LieAlgebra.from_json_dict(data)
     bad = g.validate()
     if bad is not None:

@@ -6,6 +6,10 @@ the n-th Schroedinger algebra family and reports each claim as PASS,
 FAIL, or DISCREPANCY (the latter for claims whose own stated values
 conflict). Every numeric payload is exact; exit codes are 0 success,
 1 usage error, 2 invalid input algebra, 3 internal consistency failure.
+
+Each cmd_* returns (algebra description, payload, exit code); main times
+it, wraps them in the report and prints it. verify-paper's oracle ranks
+are memoised on their matrices by exact_linalg.certified_rank, not here.
 """
 
 import argparse
@@ -117,15 +121,6 @@ def _degree(args, cap=None) -> int:
     return args.degree
 
 
-def _report(command: str, algebra_desc, payload: dict, started: float) -> dict:
-    return {
-        "command": command,
-        "algebra": algebra_desc,
-        "payload": payload,
-        "elapsed": f"{time.monotonic() - started:.3f}s",
-    }
-
-
 def _algebra_desc(spec: str, g: LieAlgebra, setup=None) -> dict:
     desc = {"spec": spec, "name": g.name, "dim": g.dim}
     if setup is not None:
@@ -149,13 +144,9 @@ def _flat(prefix: str, value, lines: list):
 
 def _print_table(report: dict):
     print(f"command: {report['command']}")
-    alg = report.get("algebra")
+    alg = report["algebra"]  # a dict, or None for selftest
     if alg:
-        if isinstance(alg, dict):
-            desc = " ".join(f"{k}={v}" for k, v in alg.items())
-        else:
-            desc = str(alg)
-        print(f"algebra: {desc}")
+        print("algebra: " + " ".join(f"{k}={v}" for k, v in alg.items()))
     payload = report["payload"]
     rows = payload.get("rows")
     if rows is not None:
@@ -187,18 +178,10 @@ def _print_table(report: dict):
     print(f"elapsed: {report['elapsed']}")
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        _print_table(report)
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_info(args) -> int:
-    started = time.monotonic()
+def cmd_info(args) -> tuple:
     g = catalog.resolve(args.algebra)
     bad = g.validate()
     payload = {
@@ -210,12 +193,11 @@ def cmd_info(args) -> int:
         payload["center_dim"] = center(g).dim
     else:
         payload["violation"] = str(bad)
-    _emit(_report("info", _algebra_desc(args.algebra, g), payload, started), args.format)
-    return EXIT_OK if bad is None else EXIT_BAD_ALGEBRA
+    return _algebra_desc(args.algebra, g), payload, (
+        EXIT_OK if bad is None else EXIT_BAD_ALGEBRA)
 
 
-def cmd_cohomology(args) -> int:
-    started = time.monotonic()
+def cmd_cohomology(args) -> tuple:
     g = catalog.resolve(args.algebra)
     rep = _coeff_rep(g, args.coeff)
     p = _degree(args)
@@ -224,28 +206,18 @@ def cmd_cohomology(args) -> int:
     if args.representatives:
         space = CochainSpace(g, rep, p)
         payload["representatives"] = [space.serialize(v) for v in res.representatives]
-    _emit(
-        _report("cohomology", _algebra_desc(args.algebra, g), payload, started),
-        args.format,
-    )
-    return EXIT_OK
+    return _algebra_desc(args.algebra, g), payload, EXIT_OK
 
 
-def cmd_derivations(args) -> int:
-    started = time.monotonic()
+def cmd_derivations(args) -> tuple:
     g = catalog.resolve(args.algebra)
     total = derivation_space(g).dim
     inner = inner_derivations(g).dim
     payload = {"total": total, "inner": inner, "outer": total - inner}
-    _emit(
-        _report("derivations", _algebra_desc(args.algebra, g), payload, started),
-        args.format,
-    )
-    return EXIT_OK
+    return _algebra_desc(args.algebra, g), payload, EXIT_OK
 
 
-def cmd_invariant_cohomology(args) -> int:
-    started = time.monotonic()
+def cmd_invariant_cohomology(args) -> tuple:
     setup = _setup_from_args(args)
     p = _degree(args)
     res = invariant_cohomology(setup, p)
@@ -262,12 +234,10 @@ def cmd_invariant_cohomology(args) -> int:
         space = setup.cochain_space(p)
         payload["representatives"] = [space.serialize(v) for v in res.representatives]
     desc = _algebra_desc(args.ambient, setup.ambient, setup)
-    _emit(_report("invariant-cohomology", desc, payload, started), args.format)
-    return EXIT_OK if consistent else EXIT_INTERNAL
+    return desc, payload, EXIT_OK if consistent else EXIT_INTERNAL
 
 
-def cmd_extend(args) -> int:
-    started = time.monotonic()
+def cmd_extend(args) -> tuple:
     g = catalog.resolve(args.algebra)
     k = args.central_dims
     if k < 1:
@@ -302,19 +272,15 @@ def cmd_extend(args) -> int:
         "valid": ext.validate() is None,
         "algebra": ext.to_json_dict(),
     }
-    _emit(_report("extend", _algebra_desc(args.algebra, g), payload, started), args.format)
-    return EXIT_OK
+    return _algebra_desc(args.algebra, g), payload, EXIT_OK
 
 
-def cmd_hs_check(args) -> int:
-    started = time.monotonic()
+def cmd_hs_check(args) -> tuple:
     setup = _setup_from_args(args)
     p = _degree(args, HS_DEGREE_CAP)
     out = hs_crosscheck(setup, p)
     payload = {"degree": p, "coefficients": args.coeff, **out}
-    desc = _algebra_desc(args.ambient, setup.ambient, setup)
-    _emit(_report("hs-check", desc, payload, started), args.format)
-    return EXIT_OK
+    return _algebra_desc(args.ambient, setup.ambient, setup), payload, EXIT_OK
 
 
 # ------------------------------------------------------ verify-paper claims
@@ -390,11 +356,9 @@ CLAIMS = (
 
 # The oracles below recompute each number by a formulation of their own and
 # take every rank from certified_rank, never from SparseMatrix.rank, so a
-# wrong sparse rank shows as a mismatch. A differential is cached by its
-# module and shared by several rows, so its rank comes through the
-# differential_rank argument, certified_rank memoised per matrix object by
-# _Algebra; a matrix built for one oracle is certified directly. The
-# "dense" in their names is historical; bench/tracer.py targets them by name.
+# wrong sparse rank shows as a mismatch; certified_rank memoises on the
+# matrix, so a differential shared by rows is certified once. The "dense" in
+# their names is historical; bench/tracer.py targets them by name.
 #
 # The evaluator calls the oracles, _cocycle_claims, the catalog
 # constructors and the library functions by their global names at call time
@@ -402,10 +366,9 @@ CLAIMS = (
 # globals, and a stored reference would escape it.
 
 
-def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int,
-                 differential_rank) -> int:
-    dz = cochain_dim(g, rep, p) - differential_rank(differential(g, rep, p))
-    db = 0 if p == 0 else differential_rank(differential(g, rep, p - 1))
+def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int) -> int:
+    dz = cochain_dim(g, rep, p) - certified_rank(differential(g, rep, p))
+    db = 0 if p == 0 else certified_rank(differential(g, rep, p - 1))
     return dz - db
 
 
@@ -416,12 +379,12 @@ def _dense_z_inv_dim(setup: InvariantSetup, p: int) -> int:
     return dn.cols - certified_rank(stacked([dn, *generator_actions(setup, p)], dn.cols))
 
 
-def _dense_b_inv_dim(setup: InvariantSetup, p: int, differential_rank) -> int:
+def _dense_b_inv_dim(setup: InvariantSetup, p: int) -> int:
     """dim(B) + dim(Inv) - dim(B + Inv)."""
     dprev = differential(setup.radical_algebra, setup.radical_module, p - 1)
     acts = stacked(generator_actions(setup, p), dprev.rows)
     dim_inv = dprev.rows - certified_rank(acts)
-    dim_b = differential_rank(dprev)
+    dim_b = certified_rank(dprev)
     # invariant basis vectors and the columns of dprev, as rows
     joint = stacked([invariant_subspace(setup, p).matrix(), dprev.transpose()],
                     dprev.rows)
@@ -442,7 +405,7 @@ def _row(claim: str, stated, computed, status: str, note: str, oracle_ok: bool) 
 
 
 def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
-                    table: dict, differential_rank) -> dict:
+                    table: dict) -> dict:
     """Row for a stated p-cochain claimed to be a cocycle and not a
     coboundary; the coboundary test is repeated as a rank test."""
     idx = {lab: i for i, lab in enumerate(g.labels)}
@@ -460,7 +423,7 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
         if x:
             ent[(i, dprev.cols)] = x
     dense_cobound = (certified_rank(SparseMatrix(dprev.rows, dprev.cols + 1, ent))
-                     == differential_rank(dprev))
+                     == certified_rank(dprev))
     computed = ("cocycle" if cocycle else "not a cocycle") + (
         ", coboundary" if cobound else ", not a coboundary"
     )
@@ -477,13 +440,13 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
 
 class _Algebra:
     """One algebra of the claim table and what its rows share: its modules,
-    invariant setups, invariant cohomology and certified ranks."""
+    invariant setups and invariant cohomology."""
 
     def __init__(self, build: str, n):
         make = getattr(catalog, build)
         self.n = n
         self.g = make() if n is None else make(n)
-        self.modules, self.setups, self.inv, self.certified = {}, {}, {}, {}
+        self.modules, self.setups, self.inv = {}, {}, {}
 
     def module(self, coeff):
         if coeff not in self.modules:
@@ -496,17 +459,10 @@ class _Algebra:
                 self.g, *catalog.canonical_split(self.g), self.module(coeff))
         return self.setups[coeff]
 
-    def differential_rank(self, m):
-        # keyed by id and holding m, so that no id is reused while memoised
-        if id(m) not in self.certified:
-            self.certified[id(m)] = (m, certified_rank(m))
-        return self.certified[id(m)][1]
-
 
 def _algebra_rows(alg: _Algebra, claims: list) -> list:
     """Rows of one family on one algebra."""
     g, n, module, setup, inv = alg.g, alg.n, alg.module, alg.setup, alg.inv
-    differential_rank = alg.differential_rank
     rows = []
     for _, label, quantity, coeff, p, stated in claims:
         if callable(stated):
@@ -515,14 +471,13 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
             continue
         label = label.format(n=n)
         if quantity == "cocycle":
-            rows.append(_cocycle_claims(label, g, module(coeff), p, stated,
-                                        differential_rank))
+            rows.append(_cocycle_claims(label, g, module(coeff), p, stated))
             continue
         conflict = isinstance(stated, tuple)
         note = ""
         if quantity in ("H", "H+hs"):
             computed = cohomology(g, module(coeff), p).dim_cohomology
-            dense = _dense_h_dim(g, module(coeff), p, differential_rank)
+            dense = _dense_h_dim(g, module(coeff), p)
             if quantity == "H+hs" and not conflict:
                 hs = hs_crosscheck(setup(coeff), p)
                 note = f"factorized dim {hs['factorized']}, agree={hs['agree']}"
@@ -537,7 +492,7 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
                 dense = _dense_z_inv_dim(setup(coeff), p)
             else:
                 computed = inv[coeff, p].dim_coboundaries
-                dense = _dense_b_inv_dim(setup(coeff), p, differential_rank)
+                dense = _dense_b_inv_dim(setup(coeff), p)
         if conflict:
             status = "DISCREPANCY"
             note = f"stated values conflict; computation supports {computed}"
@@ -569,24 +524,16 @@ def _verify_rows(n_max: int) -> list:
     return rows
 
 
-def cmd_verify_paper(args) -> int:
-    started = time.monotonic()
+def cmd_verify_paper(args) -> tuple:
     if args.n_max < 2:
         raise UsageError("--n-max must be at least 2")
     rows = _verify_rows(args.n_max)
     oracle_ok = all(r["oracle_ok"] for r in rows)
-    counts = {"PASS": 0, "FAIL": 0, "DISCREPANCY": 0}
-    for r in rows:
-        counts[r["status"]] += 1
-    payload = {
-        "rows": rows,
-        "pass": counts["PASS"],
-        "fail": counts["FAIL"],
-        "discrepancy": counts["DISCREPANCY"],
-        "oracle_consistent": oracle_ok,
-    }
-    _emit(_report("verify-paper", {"n_max": args.n_max}, payload, started), args.format)
-    return EXIT_OK if oracle_ok else EXIT_INTERNAL
+    payload = {"rows": rows}
+    for status in ("PASS", "FAIL", "DISCREPANCY"):
+        payload[status.lower()] = sum(r["status"] == status for r in rows)
+    payload["oracle_consistent"] = oracle_ok
+    return {"n_max": args.n_max}, payload, EXIT_OK if oracle_ok else EXIT_INTERNAL
 
 
 # ------------------------------------------------------------- selftest
@@ -610,23 +557,19 @@ def _random_cochain(rng: random.Random, dim: int) -> tuple:
     )
 
 
-def cmd_selftest(args) -> int:
-    started = time.monotonic()
+def cmd_selftest(args) -> tuple:
     for flag, count in (("--rank-trials", args.rank_trials),
                         ("--extension-trials", args.extension_trials)):
         if count < 0:
             raise UsageError(f"{flag} must be nonnegative")
     rng = random.Random(args.seed)
-    rank_trials = 0
     rank_failures = 0
     for _ in range(args.rank_trials):
         m = _random_sparse(rng, 30, 30)
-        rank_trials += 1
         dense = rank_dense(m)
         if (m.rank() != dense or m.cols - kernel_basis(m).dim != dense
                 or certified_rank(m) != dense):
             rank_failures += 1
-    ext_trials = 0
     ext_failures = 0
     bases = [
         catalog.abelian(4),
@@ -638,7 +581,6 @@ def cmd_selftest(args) -> int:
         g = bases[t % len(bases)]
         triv = trivial_rep(g, 1)
         phi = _random_cochain(rng, cochain_dim(g, triv, 2))
-        ext_trials += 1
         cocycle = is_cocycle(g, triv, 2, phi)
         try:
             central_extension(ExtensionInput(g, phi, 1))
@@ -650,14 +592,13 @@ def cmd_selftest(args) -> int:
     ok = rank_failures == 0 and ext_failures == 0
     payload = {
         "seed": args.seed,
-        "rank_trials": rank_trials,
+        "rank_trials": args.rank_trials,
         "rank_failures": rank_failures,
-        "extension_trials": ext_trials,
+        "extension_trials": args.extension_trials,
         "extension_failures": ext_failures,
         "ok": ok,
     }
-    _emit(_report("selftest", None, payload, started), args.format)
-    return EXIT_OK if ok else EXIT_INTERNAL
+    return None, payload, EXIT_OK if ok else EXIT_INTERNAL
 
 
 # ------------------------------------------------------------------ main
@@ -745,17 +686,26 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        algebra, payload, code = args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NotACocycle as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_ALGEBRA
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ALGEBRA
+    report = {
+        "command": args.cmd,
+        "algebra": algebra,
+        "payload": payload,
+        "elapsed": f"{time.monotonic() - started:.3f}s",
+    }
+    if args.format == "json":
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        _print_table(report)
+    return code
 
 
 if __name__ == "__main__":

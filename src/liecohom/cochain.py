@@ -104,7 +104,10 @@ class CochainSpace:
         return json.dumps(items)
 
     def parse(self, text: str) -> tuple:
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
         vec = [Fraction(0)] * self.dim
         try:
             for I, m, c in data:

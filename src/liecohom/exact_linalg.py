@@ -85,7 +85,7 @@ class SparseMatrix:
     ValueError: entry index (0,1) out of range
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rank")
+    __slots__ = ("rows", "cols", "entries", "_rank", "_certified")
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         if rows < 0 or cols < 0:
@@ -102,6 +102,7 @@ class SparseMatrix:
                 clean[(r, c)] = v
         self.entries = clean
         self._rank: Optional[int] = None
+        self._certified: Optional[int] = None
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
@@ -288,15 +289,20 @@ def certified_rank(m: SparseMatrix) -> int:
     pivot order shows it. The two meet when r = cols - dim ker. Neither
     bound reads m.rank(), so a wrong sparse rank cannot certify itself.
 
+    The result is memoised on m itself, in the _certified slot beside
+    _rank, so each matrix object is certified once.
+
     >>> certified_rank(SparseMatrix.from_rows([[1, 2], [2, 4]]))
     1
     """
-    pivots: list = []
-    ker = kernel_basis(m, pivots)
-    r = len(pivots)
-    if r == m.cols - ker.dim and _annihilates(m, ker) and _minor_nonsingular(m, pivots):
-        return r
-    return rank_dense(m)
+    if m._certified is None:
+        pivots: list = []
+        ker = kernel_basis(m, pivots)
+        r = len(pivots)
+        proven = (r == m.cols - ker.dim and _annihilates(m, ker)
+                  and _minor_nonsingular(m, pivots))
+        m._certified = r if proven else rank_dense(m)
+    return m._certified
 
 
 def _annihilates(m: SparseMatrix, ker: "Subspace") -> bool:

@@ -22,7 +22,7 @@ from .invariants import InvariantSetup, invariant_cohomology
 HS_DEGREE_CAP = 3
 
 
-class NotACocycle(Exception):
+class NotACocycle(ValueError):
     """The proposed extension bracket violates Jacobi."""
 
     def __init__(self, violation: JacobiViolation):

@@ -191,6 +191,8 @@ class LieAlgebra:
             if not isinstance(labels, list):
                 raise ValueError("malformed algebra data: basis must be a list of labels")
             name = data.get("name", "")
+            if not isinstance(name, str):
+                raise ValueError("malformed algebra data: name must be a string")
             structure: dict = {}
             for item in data.get("brackets", []):
                 i, j = as_index(item["left"]), as_index(item["right"])

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 
 import pytest
@@ -5,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecohom import catalog, exact_linalg
-from liecohom.cli import main
+from liecohom.cli import _build_parser, main
 from liecohom.cochain import CochainSpace, differential, is_cocycle
 from liecohom.exact_linalg import SparseMatrix
 from liecohom.lie_core import LieAlgebra
@@ -216,13 +219,24 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
                  "brackets": [{"left": False, "right": 1, "result": [[2, "1"]]}]}
     float_target = {"basis": ["a", "b", "c"],
                     "brackets": [{"left": 0, "right": 1, "result": [[2.0, "1"]]}]}
-    for data, words in ((zero_den, "1/0"), (string_basis, "basis"),
-                        (float_coeff, "0.1"), (float_pair, "0.9"),
-                        (bool_left, "False"), (float_target, "2.0")):
-        path.write_text(json.dumps(data))
+    int_name = dict(catalog.heisenberg(1).to_json_dict(), name=5)
+    cases = [(json.dumps(data), words) for data, words in (
+        (zero_den, "1/0"), (string_basis, "basis"), (float_coeff, "0.1"),
+        (float_pair, "0.9"), (bool_left, "False"), (float_target, "2.0"),
+        (int_name, "name must be a string"))]
+    cases.append(("[" * 3000 + "]" * 3000, "nested too deeply"))
+    for text, words in cases:
+        path.write_text(text)
         code, _, err = run(capsys, "info", f"file:{path}")
         assert code == 2
         assert err.startswith("error:") and words in err
+    # a name that is not a string is refused before a split is looked up by it
+    path.write_text(json.dumps(int_name))
+    for command in ("hs-check", "invariant-cohomology"):
+        code, _, err = run(capsys, command, "--ambient", f"file:{path}",
+                           "--coeff", "trivial")
+        assert code == 2, command
+        assert err.startswith("error:") and "name must be a string" in err
 
 
 def test_bad_cocycle_files_exit_2(capsys, tmp_path):
@@ -237,6 +251,7 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         ('[[[0, 1], 0.0, "1"]]', "0.0"),
         ('[[[false, 1], 0, "1"]]', "False"),
         ('[[[0, 1], true, "1"]]', "True"),
+        ("[" * 3000 + "]" * 3000, "nested too deeply"),
     ):
         path.write_text(text)
         code, _, err = run(
@@ -307,6 +322,97 @@ def split_invocations(draw):
 def test_any_split_selection_ends_in_an_exit_code(argv):
     # overlapping, incomplete and out-of-range splits are errors, never tracebacks
     assert main(argv) in (0, 1, 2, 3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any(strategy):
+    return strategy | JSON_VALUES
+
+
+@st.composite
+def algebra_files(draw):
+    """Algebra JSON with at most 4 basis labels, every field sometimes
+    replaced by an arbitrary JSON value."""
+    index = _or_any(st.integers(-1, 4))
+    coeff = _or_any(st.integers(-2, 2) | st.sampled_from(("1", "-1/2", "1/0", "x")))
+    bracket = st.fixed_dictionaries({}, optional={
+        "left": index,
+        "right": index,
+        "result": _or_any(st.lists(st.lists(index | coeff, min_size=2, max_size=2),
+                                   max_size=3)),
+    })
+    data = draw(_or_any(st.fixed_dictionaries({}, optional={
+        "basis": _or_any(st.lists(_or_any(st.sampled_from("xyzw")), max_size=4)),
+        "name": _or_any(st.sampled_from(("", "sl2", "heisenberg:1", "schrodinger:1"))),
+        "brackets": _or_any(st.lists(_or_any(bracket), max_size=4)),
+    })))
+    return json.dumps(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_files())
+def test_any_algebra_file_ends_in_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    for argv in (("info", f"file:{path}"),
+                 ("hs-check", "--ambient", f"file:{path}"),
+                 ("invariant-cohomology", "--ambient", f"file:{path}",
+                  "--coeff", "trivial")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert "Traceback" not in err.getvalue(), (argv, text)
+
+
+ONE_RUN_EACH = {
+    "info": ("sl2",),
+    "cohomology": ("sl2", "--coeff", "trivial"),
+    "derivations": ("sl2",),
+    "invariant-cohomology": ("--ambient", "schrodinger:1", "--coeff", "trivial"),
+    "extend": ("heisenberg:1",),
+    "hs-check": ("--ambient", "schrodinger:1"),
+    "verify-paper": ("--n-max", "2"),
+    "selftest": ("--rank-trials", "2", "--extension-trials", "2"),
+}
+
+
+def test_every_command_reports_in_one_envelope(capsys):
+    (commands,) = [a.choices for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    assert set(ONE_RUN_EACH) == set(commands)
+    for command, argv in ONE_RUN_EACH.items():
+        code, data, _ = run_json(capsys, command, *argv)
+        assert code == 0, command
+        assert set(data) == {"command", "algebra", "payload", "elapsed"}, command
+        assert data["command"] == command
+
+
+def test_errors_print_one_line_and_no_report(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    phi = tmp_path / "phi.json"
+    phi.write_text('[[[0, 3], 0, "1"]]')  # phi(e, x1) = 1 on sch_2, not a cocycle
+    for argv, expected in (
+        (("verify-paper", "--n-max", "1"), 1),
+        (("extend", "sl2"), 1),
+        (("info", "nosuch:3"), 2),
+        (("info", f"file:{bad}"), 2),
+        (("extend", "heisenberg:1", "--cocycle-file", str(tmp_path / "none")), 2),
+        (("extend", "schrodinger:2", "--cocycle-file", str(phi)), 2),
+    ):
+        for fmt in ("table", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert code == expected, argv
+            assert out == "", argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_table_and_json_payloads_agree(capsys):

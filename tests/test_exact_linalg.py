@@ -186,6 +186,34 @@ def test_certified_rank_falls_back_when_the_prime_divides_a_denominator(monkeypa
     assert called == [m]
 
 
+def test_certified_rank_is_kept_on_its_matrix(monkeypatch):
+    kernel = exact_linalg.kernel_basis
+    calls = []
+    monkeypatch.setattr(exact_linalg, "kernel_basis",
+                        lambda m, pivots=None: calls.append(m) or kernel(m, pivots))
+    m = SparseMatrix.from_rows([[1, 2], [2, 4]])
+    assert certified_rank(m) == certified_rank(m) == 1
+    assert len(calls) == 1
+    # an equal but separate matrix runs its own elimination
+    twin = SparseMatrix.from_rows([[1, 2], [2, 4]])
+    assert twin == m and certified_rank(twin) == 1
+    assert len(calls) == 2
+    # the sparse rank's slot is never read
+    wrong = SparseMatrix.from_rows([[1, 2], [2, 4]])
+    wrong._rank = 2
+    assert certified_rank(wrong) == 1
+
+
+def test_certified_rank_keeps_a_fallback_result(monkeypatch):
+    m = SparseMatrix.from_rows([[Fraction(1, exact_linalg._P), 1], [1, 1]])
+    dense = exact_linalg.rank_dense
+    called = []
+    monkeypatch.setattr(exact_linalg, "rank_dense",
+                        lambda m: called.append(m) or dense(m))
+    assert certified_rank(m) == certified_rank(m) == 2
+    assert called == [m]
+
+
 def test_echelon_pivot_rows_are_integer_and_content_free():
     # row 1 is the sparser and holds column 0 with pivot value 4; row 0
     # becomes 2 (2, 1, 1) - (4, 0, 6) = (0, 2, -4), divided by its content 2
