@@ -416,13 +416,11 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
     })
     cocycle = is_cocycle(g, rep, p, psi)
     cobound = is_coboundary(g, rep, p, psi)
-    # oracle for the membership test: column ranks with and without psi
+    # oracle for the membership test: ranks with and without psi, as a row
+    # below the transpose of d_{p-1}
     dprev = differential(g, rep, p - 1)
-    ent = dict(dprev.entries)
-    for i, x in enumerate(psi):
-        if x:
-            ent[(i, dprev.cols)] = x
-    dense_cobound = (certified_rank(SparseMatrix(dprev.rows, dprev.cols + 1, ent))
+    psi_row = SparseMatrix(1, dprev.rows, {(0, i): x for i, x in enumerate(psi) if x})
+    dense_cobound = (certified_rank(stacked([dprev.transpose(), psi_row], dprev.rows))
                      == certified_rank(dprev))
     computed = ("cocycle" if cocycle else "not a cocycle") + (
         ", coboundary" if cobound else ", not a coboundary"

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Callable, Sequence
 
 from .exact_linalg import (
@@ -111,6 +111,8 @@ class CochainSpace:
         vec = [Fraction(0)] * self.dim
         try:
             for I, m, c in data:
+                if not isinstance(I, list):
+                    raise ValueError(f"index tuple {I!r} is not a list of indices")
                 vec[self.index_of(tuple(as_index(i) for i in I), as_index(m))] += rat(c)
         except TypeError as exc:
             raise ValueError(f"malformed cochain data: {exc}") from exc
@@ -150,8 +152,9 @@ class CohomologyResult:
 def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     """Matrix of d_n : C^n(r, M) -> C^{n+1}(r, M). Cached per module.
 
-    Assembly stores the action and structure-constant Fractions as they
-    are, without re-coercing them: only an entry hit twice is added.
+    Assembled as integer rows over one denominator D, the lcm of the
+    denominators of the structure constants and of the action rows: every
+    term is an int, and only an entry hit twice is added.
     """
     _check_pair(r, M)
     if n < 0:
@@ -162,22 +165,29 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     md = M.module_dim
     tuples_out = list(combinations(range(r.dim), n + 1))
     idx_in = {t: a for a, t in enumerate(combinations(range(r.dim), n))}
-    rows = comb(r.dim, n + 1) * md
+    actions = [list(a.integer_rows()) for a in M.actions]
+    D = lcm(*[c.denominator for comps in r.structure.values() for c in comps.values()],
+            *[den for rows in actions for _, _, den in rows])
+    # acts[parity][g]: the entries of e_g's action times D, with sign
+    # (-1)^parity
+    acts = [[[(mr, mc, v * (D // den)) for mr, row, den in rows for mc, v in row.items()]
+             for rows in actions]]
+    acts.append([[(mr, mc, -v) for mr, mc, v in terms] for terms in acts[0]])
+    structure = {key: {k: c.numerator * (D // c.denominator) for k, c in comps.items()}
+                 for key, comps in r.structure.items()}
     cols = comb(r.dim, n) * md
-    # acts[parity][g]: the entries of e_g's action, with sign (-1)^parity
-    acts = [[[(mr, mc, v) for (mr, mc), v in a.entries.items()] for a in M.actions],
-            [[(mr, mc, -v) for (mr, mc), v in a.entries.items()] for a in M.actions]]
-    structure = r.structure
-    ent: dict = {}
-    get = ent.get
+    # every column index as one shared int object: an index computed anew
+    # for each entry would cost an int object per entry
+    col_ids = list(range(cols))
+    rows: dict = {}
     for out_pos, J in enumerate(tuples_out):
-        ro = out_pos * md
-        # the first entries of row block ro, one column block per i: no
-        # key repeats
+        block = [{} for _ in range(md)]
+        # the first entries of each row: one column block per i, no key
+        # repeats
         for i in range(n + 1):
             co = idx_in[J[:i] + J[i + 1:]] * md
             for mr, mc, x in acts[i % 2][J[i]]:
-                ent[(ro + mr, co + mc)] = x
+                block[mr][col_ids[co + mc]] = x
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 comps = structure.get((J[i], J[j]))
@@ -190,13 +200,26 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
                     pos = sum(1 for t in rest if t < k)
                     s = c if (i + j + pos) % 2 == 0 else -c
                     co = idx_in[tuple(sorted(rest + (k,)))] * md
-                    for m in range(md):
-                        key = (ro + m, co + m)
-                        y = get(key)
-                        ent[key] = s if y is None else y + s
-    out = SparseMatrix(rows, cols, ent)
+                    for m, row in enumerate(block):
+                        key = col_ids[co + m]
+                        y = row.get(key)
+                        row[key] = s if y is None else y + s
+        _keep_block(rows, out_pos * md, block)
+    out = SparseMatrix.from_integer_rows(
+        comb(r.dim, n + 1) * md, cols, rows,
+        dict.fromkeys(rows, D) if D != 1 else None)
     M._dcache[n] = out
     return out
+
+
+def _keep_block(rows: dict, ro: int, block: list) -> None:
+    """Store the non-empty rows of block, {col: int} dicts for rows ro,
+    ro + 1, ..., in rows, without the entries whose terms cancelled."""
+    for m, row in enumerate(block):
+        if 0 in row.values():
+            row = {k: v for k, v in row.items() if v}
+        if row:
+            rows[ro + m] = row
 
 
 def _cocycle_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:

@@ -1,26 +1,36 @@
 """Exact linear algebra over the rationals.
 
-Sparse matrices with Fraction entries, rank by sparse elimination, kernel
-bases, and canonical subspaces (reduced row echelon bases, so that two
-subspaces are equal as spans iff their stored bases are equal).
+A SparseMatrix stores each non-empty row once, as a {col: int} dict with a
+positive denominator: the row's rational entries are its integers divided
+by that denominator, which is the lcm of their own denominators. So the
+integers and the denominator share no factor and the storage is unique.
+The Fraction entries are a view, built when read.
 
-The elimination runs on integers. Each row is scaled once, where it is
-made, by the lcm of its denominators; that changes neither its span nor
-its zero pattern, so the pivots are those of rational elimination. Rows
-are then combined by integer multipliers and divided by the gcd of their
-entries (fraction-free elimination). Fractions come back only at the
-Subspace boundary: each reduced row is divided by its pivot value, so
-Subspace rows hold exact Fractions with 1 on every pivot.
+A matrix is eliminated at most once. The first call to rank, kernel_basis
+or certified_rank runs _echelon, the one elimination kernel, on copies of
+the stored rows, and the matrix keeps the result: its pivots and integer
+pivot rows. The elimination is fraction-free: rows are combined by integer
+multipliers and divided by the gcd of their entries, which keeps the zero
+patterns of the rational rows, so the pivots are those of rational
+elimination. It takes the columns from last to first. Back substitution
+of a copy of the stored echelon then gives one kernel vector per free
+column whose leading coordinate is that free column, so the vectors are
+already the reduced row echelon (RREF) basis of the kernel.
 
-Two rank checks stand apart from the sparse elimination. rank_dense is a
-deliberately independent dense elimination. certified_rank proves a rank
-from the sparse elimination's own output: its kernel basis, checked to be
-independent and annihilated exactly (an integer product), bounds the rank
-from above, and the minor on its pivot rows and columns, checked
-nonsingular modulo a prime by a sparse elimination of its own, bounds it
-from below. Both checks are written apart from _echelon and its helpers,
-so a fault there cannot certify itself. When the bounds do not meet,
-rank_dense decides.
+A Subspace holds the RREF basis of a span, with Fractions and 1 on every
+pivot, so two subspaces are equal as spans iff their stored bases are
+equal. Subspace.from_vectors runs the same _echelon in column order, then
+the same back substitution.
+
+Two rank checks stand apart from _echelon. rank_dense is a deliberately
+independent dense elimination of the Fraction view. certified_rank proves
+the stored echelon's rank: its kernel vectors, independent by their
+free-column pattern and annihilated by the stored rows exactly (an integer
+product), bound the rank from above, and the minor on its pivot rows and
+columns, checked nonsingular modulo a prime by a sparse elimination of its
+own, bounds it from below. Both checks are written apart from _echelon and
+its helpers, so a fault there cannot certify itself. When the bounds do not
+meet, rank_dense decides.
 """
 
 from fractions import Fraction
@@ -29,25 +39,38 @@ from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
+# the largest decimal exponent rat accepts: Fraction expands "1e30000000"
+# into a 30-million-digit integer before anything can refuse it
+_MAX_EXPONENT = 100
+
 
 def rat(x) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
-    A float is refused: its binary value is rarely the number meant.
+    A float is refused: its binary value is rarely the number meant. So is
+    a string whose decimal exponent exceeds _MAX_EXPONENT.
 
-    >>> rat("2"), rat("-1/3"), rat(5), rat("0.1")
-    (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1), Fraction(1, 10))
+    >>> rat("2"), rat("-1/3"), rat(5), rat("0.1"), rat("25e-2")
+    (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1), Fraction(1, 10), Fraction(1, 4))
     >>> rat("1/0")
     Traceback (most recent call last):
     ValueError: zero denominator in '1/0'
     >>> rat(0.1)
     Traceback (most recent call last):
     ValueError: inexact float coefficient 0.1: write an integer or a string such as "1/10"
+    >>> rat("1e30000000")
+    Traceback (most recent call last):
+    ValueError: exponent too large in '1e30000000': at most 100
     """
     if isinstance(x, float):
         raise ValueError(
             f'inexact float coefficient {x!r}: write an integer or a string such as "1/10"'
         )
+    if isinstance(x, str):
+        _, e, exp = x.strip().lower().rpartition("e")
+        exp = exp.lstrip("+-").replace("_", "").lstrip("0")
+        if e and exp.isdecimal() and (len(exp) > 3 or int(exp) > _MAX_EXPONENT):
+            raise ValueError(f"exponent too large in {x!r}: at most {_MAX_EXPONENT}")
     try:
         return Fraction(x)
     except ZeroDivisionError:
@@ -69,8 +92,14 @@ def rat_str(q) -> str:
 class SparseMatrix:
     """Immutable-by-convention sparse rational matrix.
 
-    Entries are held in a dict keyed by (row, col); zeros are never stored.
-    A Fraction entry is stored as given; any other value is coerced to one.
+    Each non-empty row is stored as a {col: int} dict with a positive
+    denominator, the lcm of its entries' denominators; zeros are never
+    stored. entries is the {(row, col): Fraction} view, built on each read.
+    The constructor takes entries of any int, string or Fraction value.
+
+    The first rank, kernel_basis or certified_rank call keeps the
+    elimination in the _elimination slot, and later calls only read it;
+    _rank is its pivot count and _certified the certified rank.
 
     >>> m = SparseMatrix(2, 2, {(0, 0): rat(1), (1, 1): rat(2)})
     >>> m.rank()
@@ -85,24 +114,53 @@ class SparseMatrix:
     ValueError: entry index (0,1) out of range
     """
 
-    __slots__ = ("rows", "cols", "entries", "_rank", "_certified")
+    __slots__ = ("rows", "cols", "_rows", "_dens", "_elimination", "_rank", "_certified")
 
     def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        clean = {}
+        by_row: dict = {}
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry index ({r},{c}) out of range")
             if type(v) is not Fraction:
                 v = Fraction(v)
             if v:
-                clean[(r, c)] = v
-        self.entries = clean
+                by_row.setdefault(r, {})[c] = v
+        self._rows = by_row
+        self._dens = {}
+        for r, row in by_row.items():
+            den = _clear_denominators(row)
+            if den != 1:
+                self._dens[r] = den
+        self._elimination: Optional[list] = None
         self._rank: Optional[int] = None
         self._certified: Optional[int] = None
+
+    @classmethod
+    def from_integer_rows(cls, rows: int, cols: int, int_rows: dict,
+                          dens: Optional[dict] = None) -> "SparseMatrix":
+        """The matrix whose row r is int_rows[r] divided by dens.get(r, 1).
+
+        int_rows maps row indices to non-empty {col: nonzero int} dicts and
+        dens to positive ints; neither is checked. The matrix keeps the
+        dicts: a row with a denominator is divided in place by the factor
+        it shares with it, and no one may change them afterwards.
+        """
+        m = cls(rows, cols)
+        m._rows = int_rows
+        for r, den in (dens or {}).items():
+            row = int_rows[r]
+            g = gcd(den, *row.values())
+            if g > 1:
+                for k in row:
+                    row[k] //= g
+                den //= g
+            if den != 1:
+                m._dens[r] = den
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "SparseMatrix":
@@ -126,17 +184,30 @@ class SparseMatrix:
             if len(row) != nc:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    ent[(r, c)] = v
+                ent[(r, c)] = v
         return cls(nr, nc, ent)
+
+    def integer_rows(self):
+        """(row, {col: int}, denominator) for each non-empty row: its
+        entries are the ints divided by the denominator. The dicts are the
+        matrix's own and must not be changed."""
+        dens = self._dens
+        for r, row in self._rows.items():
+            yield r, row, dens.get(r, 1)
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero entries as {(row, col): Fraction}, built on each read."""
+        return {(r, c): Fraction(v, den)
+                for r, row, den in self.integer_rows() for c, v in row.items()}
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._rows.values()))
 
     def entry(self, r: int, c: int) -> Fraction:
-        return self.entries.get((r, c), Fraction(0))
+        v = self._rows.get(r, {}).get(c)
+        return Fraction(0) if v is None else Fraction(v, self._dens.get(r, 1))
 
     def to_rows(self) -> list:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -144,56 +215,61 @@ class SparseMatrix:
             out[r][c] = v
         return out
 
-    def row_dicts(self) -> list:
-        """The non-empty rows as {col: value} dicts, in row order."""
-        out: dict = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return [out[r] for r in sorted(out)]
-
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
+        # column c of self, as a row, takes the lcm of its rows' denominators
+        col_dens: dict = {}
+        for r, den in self._dens.items():
+            for c in self._rows[r]:
+                col_dens[c] = lcm(col_dens.get(c, 1), den)
+        out: dict = {}
+        for r, row, den in self.integer_rows():
+            for c, v in row.items():
+                out.setdefault(c, {})[r] = v * (col_dens.get(c, 1) // den)
+        return SparseMatrix.from_integer_rows(self.cols, self.rows, out, col_dens)
 
     def apply(self, vec: Sequence) -> tuple:
         """Matrix-vector product, vec of length cols."""
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         out = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x:
-                out[r] += v * Fraction(x)
+        for r, row, den in self.integer_rows():
+            s = 0
+            for c, v in row.items():
+                x = vec[c]
+                if x:
+                    s += v * Fraction(x)
+            if s:
+                out[r] = Fraction(s, den)
         return tuple(out)
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        by_row = [dict() for _ in range(other.rows)]
-        for (r, c), v in other.entries.items():
-            by_row[r][c] = v
-        ent: dict = {}
-        for (r, k), a in self.entries.items():
-            for c, b in by_row[k].items():
-                key = (r, c)
-                nv = ent.get(key, Fraction(0)) + a * b
-                if nv:
-                    ent[key] = nv
-                else:
-                    ent.pop(key, None)
-        return SparseMatrix(self.rows, other.cols, ent)
+        orows, odens = other._rows, other._dens
+        out, dens = {}, {}
+        for r, row, den in self.integer_rows():
+            # sum over k of row[k] * other's row k, over one denominator
+            common = lcm(*[odens.get(k, 1) for k in row])
+            acc: dict = {}
+            for k, a in row.items():
+                brow = orows.get(k)
+                if brow is not None:
+                    f = a * (common // odens.get(k, 1))
+                    for c, b in brow.items():
+                        acc[c] = acc.get(c, 0) + f * b
+            acc = {c: v for c, v in acc.items() if v}
+            if acc:
+                out[r] = acc
+                if den * common != 1:
+                    dens[r] = den * common
+        return SparseMatrix.from_integer_rows(self.rows, other.cols, out, dens)
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        ent = dict(self.entries)
+        ent = self.entries
         for key, v in other.entries.items():
-            nv = ent.get(key, Fraction(0)) + v
-            if nv:
-                ent[key] = nv
-            else:
-                ent.pop(key, None)
+            ent[key] = ent.get(key, 0) + v
         return SparseMatrix(self.rows, self.cols, ent)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -201,31 +277,31 @@ class SparseMatrix:
 
     def scale(self, a) -> "SparseMatrix":
         a = Fraction(a)
-        if not a:
-            return SparseMatrix.zero(self.rows, self.cols)
         return SparseMatrix(
             self.rows, self.cols, {k: a * v for k, v in self.entries.items()}
         )
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._rows
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._rows == other._rows
+            and self._dens == other._dens
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
+        return hash((self.rows, self.cols, frozenset(
+            (r, den, frozenset(row.items())) for r, row, den in self.integer_rows())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
     def rank(self) -> int:
-        """Rank over the rationals: the number of pivots of _echelon.
+        """Rank over the rationals: the pivot count of the stored echelon.
 
         >>> SparseMatrix.identity(3).rank()
         3
@@ -233,15 +309,70 @@ class SparseMatrix:
         0
         """
         if self._rank is None:
-            self._rank = sum(1 for _ in _echelon(_integer_rows(self.row_dicts())))
+            _stored_echelon(self)
         return self._rank
+
+
+def _clear_denominators(row: dict) -> int:
+    """Scale the {col: rational} row in place by the lcm of its
+    denominators, so that every value becomes an int; returns the lcm."""
+    den = 1
+    for v in row.values():
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    for k, v in row.items():
+        row[k] = v.numerator * (den // v.denominator)
+    return den
+
+
+def _stored_echelon(m: SparseMatrix) -> list:
+    """m's forward elimination as (pivot_col, row of m, integer pivot row)
+    triples, columns taken from last to first: run once, on copies of the
+    stored rows, and kept on m with its pivot count in _rank."""
+    if m._elimination is None:
+        ids = list(m._rows)
+        rows = [dict(row) for row in m._rows.values()]
+        m._elimination = [(c, ids[i], row) for c, i, row in _echelon(rows, True)]
+        m._rank = len(m._elimination)
+    return m._elimination
+
+
+def _kernel(m: SparseMatrix) -> tuple:
+    """(pivots, kernel) from back substitution of a copy of m's stored
+    echelon. pivots lists the (column, row of m) of each pivot in the order
+    taken. kernel maps each free column f, ascending, to an integer kernel
+    vector that is nonzero at f and zero at every other free column.
+
+    The columns were eliminated last to first, so a reduced pivot row has
+    no entry right of its pivot, and the vector of f has none left of f:
+    divided by its value at f, it is the RREF kernel basis vector of f.
+    """
+    finished = [(c, r, dict(row)) for c, r, row in _stored_echelon(m)]
+    _back_substitute(finished)
+    pivot_cols = {c for c, _, _ in finished}
+    terms: dict = {f: [] for f in range(m.cols) if f not in pivot_cols}
+    for c, _, row in finished:
+        pv = row[c]
+        for f, x in row.items():
+            if f != c:
+                terms[f].append((c, x, pv))
+    kernel = {}
+    for f, column in terms.items():
+        # v = L e_f - sum of (x / pv) L e_c, with L a multiple of every pv
+        L = lcm(*[pv for _, _, pv in column])
+        vec = {f: L}
+        for c, x, pv in column:
+            vec[c] = -x * (L // pv)
+        kernel[f] = vec
+    return [(c, r) for c, r, _ in finished], kernel
 
 
 def rank_dense(m: SparseMatrix) -> int:
     """Textbook dense Gaussian elimination; the independent rank oracle.
 
     Shares no elimination code with SparseMatrix.rank: rows are dense
-    lists, pivots are taken in column order using the first nonzero row.
+    lists of the Fraction entries, pivots are taken in column order using
+    the first nonzero row.
 
     >>> rank_dense(SparseMatrix.from_rows([[1, 2], [2, 4]]))
     1
@@ -278,65 +409,56 @@ _P = (1 << 61) - 1
 
 
 def certified_rank(m: SparseMatrix) -> int:
-    """Rank of m proven from the sparse elimination's own output, with
-    rank_dense deciding whenever the proof does not close.
+    """Rank of m proven from its stored echelon, with rank_dense deciding
+    whenever the proof does not close.
 
-    Upper bound: the kernel_basis vectors are independent by their RREF
-    pattern and m k = 0 is checked exactly for each, in integers, so rank
-    <= cols - dim ker. Lower bound: the minor of m on the r pivot rows and
-    columns of the same elimination is nonsingular modulo the prime _P,
-    hence over Q, so rank >= r; a sparse elimination mod _P in the same
-    pivot order shows it. The two meet when r = cols - dim ker. Neither
-    bound reads m.rank(), so a wrong sparse rank cannot certify itself.
+    _kernel back-substitutes a copy of the stored echelon (m is eliminated
+    first if it has not been) and gives its r pivots and one integer kernel
+    vector per free column. Upper bound: the vectors are independent, each
+    nonzero on its own free column and zero on the others, and m k = 0 is
+    checked exactly for each against the stored integer rows, so rank <=
+    cols - dim ker. Lower bound: the minor of m on the pivot rows and
+    columns is nonsingular modulo the prime _P, hence over Q, so rank >= r;
+    a sparse elimination mod _P in the same pivot order shows it. The two
+    meet when r = cols - dim ker. Neither check reads m.rank() or shares
+    code with _echelon, so a wrong elimination cannot certify itself.
 
-    The result is memoised on m itself, in the _certified slot beside
-    _rank, so each matrix object is certified once.
+    The result is kept on m, in the _certified slot, so each matrix object
+    is certified once.
 
     >>> certified_rank(SparseMatrix.from_rows([[1, 2], [2, 4]]))
     1
     """
     if m._certified is None:
-        pivots: list = []
-        ker = kernel_basis(m, pivots)
+        pivots, kernel = _kernel(m)
         r = len(pivots)
-        proven = (r == m.cols - ker.dim and _annihilates(m, ker)
+        proven = (r == m.cols - len(kernel) and _annihilates(m, kernel)
                   and _minor_nonsingular(m, pivots))
         m._certified = r if proven else rank_dense(m)
     return m._certified
 
 
-def _annihilates(m: SparseMatrix, ker: "Subspace") -> bool:
-    """ker's rows are independent (1 on their own pivot, 0 on every other
-    pivot) and m k = 0 exactly for each row k. The product runs in integers
-    by a column-indexed sweep: each row of m is scaled by the lcm of its
-    denominators, which leaves its zero products zero, and so is each k."""
-    pivots = set(ker.pivots)
-    if ker.ambient_dim != m.cols or len(pivots) != len(ker.rows):
-        return False
-    for p, row in zip(ker.pivots, ker.rows):
-        if row.get(p) != 1 or any(row[k] for k in row if k != p and k in pivots):
+def _annihilates(m: SparseMatrix, kernel: dict) -> bool:
+    """The vectors of kernel, {free column: {coordinate: value}}, are
+    independent (each nonzero on its own free column and zero on the
+    others) and m k = 0 exactly for each: every stored integer row of m,
+    a positive multiple of the rational row, times every vector is 0. The
+    product sweeps the rows of m against an index of the vectors by
+    coordinate."""
+    free = set(kernel)
+    by_coord: dict = {}
+    for j, (f, vec) in enumerate(kernel.items()):
+        if not vec.get(f) or any(k in free for k in vec if k != f):
             return False
-    dens: dict = {}
-    for (r, _), v in m.entries.items():
-        d = v.denominator
-        if d != 1:
-            dens[r] = lcm(dens.get(r, 1), d)
-    by_col: dict = {}
-    for (r, c), v in m.entries.items():
-        scaled = v.numerator * (dens.get(r, 1) // v.denominator)
-        by_col.setdefault(c, []).append((r, scaled))
-    for row in ker.rows:
-        den = 1
-        for x in row.values():
-            if x.denominator != 1:
-                den = lcm(den, x.denominator)
-        out: dict = {}
-        for c, x in row.items():
-            if not 0 <= c < m.cols:
+        for k, x in vec.items():
+            if not 0 <= k < m.cols:
                 return False
-            x = x.numerator * (den // x.denominator)
-            for r, v in by_col.get(c, ()):
-                out[r] = out.get(r, 0) + v * x
+            by_coord.setdefault(k, []).append((j, x))
+    for row in m._rows.values():
+        out: dict = {}
+        for c, v in row.items():
+            for j, x in by_coord.get(c, ()):
+                out[j] = out.get(j, 0) + v * x
         if any(out.values()):
             return False
     return True
@@ -347,27 +469,27 @@ def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
     _P, by a sparse forward elimination over Z/_P in the given pivot order.
 
     The minor is held as {column: value mod _P} rows, numbered in pivot
-    order, with a column index (column -> ids of the rows holding it). For
-    column j the pivot is row j, the row the checked elimination took,
+    order, with a column index (column -> ids of the rows holding it). Its
+    rows are m's stored integer rows, each a multiple of the rational row
+    by its denominator, which changes no rank when _P does not divide it.
+    For column j the pivot is row j, the row the checked elimination took,
     while it holds the column, and otherwise the lowest remaining row that
     does; fill-in then stays inside the fill-in of that elimination. False
-    when no remaining row holds a column, or when _P divides a denominator
-    inside the minor."""
+    when no remaining row holds a column, or when _P divides the
+    denominator of a row inside the minor."""
     n = len(pivots)
     col_of = {c: j for j, (c, _) in enumerate(pivots)}
     row_of = {r: i for i, (_, r) in enumerate(pivots)}
     if len(col_of) != n or len(row_of) != n:
         return False
     rows: list = [{} for _ in range(n)]
-    for (r, c), v in m.entries.items():
-        i, j = row_of.get(r), col_of.get(c)
-        if i is None or j is None:
-            continue
-        if v.denominator % _P == 0:
+    for r, i in row_of.items():
+        if m._dens.get(r, 1) % _P == 0:
             return False
-        x = v.numerator * pow(v.denominator, -1, _P) % _P
-        if x:
-            rows[i][j] = x
+        for c, v in m._rows.get(r, {}).items():
+            j = col_of.get(c)
+            if j is not None and v % _P:
+                rows[i][j] = v  # any representative mod _P serves
     holders: list = [[] for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -399,42 +521,31 @@ def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
     return True
 
 
-def _integer_rows(rows: list) -> list:
-    """Scale each {col: rational} row of rows, in place, by the lcm of its
-    denominators, so that every value becomes an int; returns rows."""
-    for row in rows:
-        den = 1
-        for v in row.values():
-            if v.denominator != 1:
-                den = lcm(den, v.denominator)
-        for k, v in row.items():
-            row[k] = v.numerator * (den // v.denominator)
-    return rows
-
-
-def _echelon(rows: list):
+def _echelon(rows: list, last_first: bool = False):
     """Fraction-free forward elimination of sparse integer rows, the one
     elimination kernel.
 
-    Goes through the columns in order and yields (pivot_col, row_id, row)
-    for each pivot: row_id is the pivot row's index in rows, and row the
-    pivot row, free of every earlier pivot column, with its pivot value at
-    row[pivot_col]. The pivot is the sparsest row holding the column, ties
-    going to the lowest row id; a column index (column -> ids of the rows
-    holding it) finds the rows without scanning. The index holds lists, not
-    sets: columns are short, and a set costs several times the memory of a
-    list. A row holding the column becomes a*row - b*prow, with the
-    multipliers of _scale, and when a != 1 it is then divided by the gcd of
-    its entries. Integer rows keep the zero patterns of the rational rows
-    they stand for, so pivots and counts are those of rational elimination.
-    Consumes rows, a list of {col: int} dicts: pivot rows are taken out of
-    it and the others are reduced in place.
+    Goes through the columns in order, or from the last to the first when
+    last_first is set, and yields (pivot_col, row_id, row) for each pivot:
+    row_id is the pivot row's index in rows, and row the pivot row, free of
+    every earlier pivot column, with its pivot value at row[pivot_col]. The
+    pivot is the sparsest row holding the column, ties going to the lowest
+    row id; a column index (column -> ids of the rows holding it) finds the
+    rows without scanning. The index holds lists, not sets: columns are
+    short, and a set costs several times the memory of a list. A row
+    holding the column becomes a*row - b*prow, with the multipliers of
+    _scale, and when a != 1 it is then divided by the gcd of its entries.
+    Integer rows keep the zero patterns of the rational rows they stand
+    for, so pivots and counts are those of rational elimination. Consumes
+    rows, a list of {col: int} dicts: pivot rows are taken out of it and
+    the others are reduced in place.
     """
     col_rows: dict = {}
     for rid, row in enumerate(rows):
         for c in row:
             col_rows.setdefault(c, []).append(rid)
-    for c in range(max(col_rows, default=-1) + 1):
+    top = max(col_rows, default=-1)
+    for c in range(top, -1, -1) if last_first else range(top + 1):
         holders = col_rows.pop(c, None)
         if not holders:
             continue
@@ -458,21 +569,18 @@ def _echelon(rows: list):
                 else:
                     del row[k]
                     col_rows[k].remove(rid)
-            if a != 1:
+            if not row:
+                rows[rid] = None  # an emptied dict keeps its table
+            elif a != 1:
                 _divide_content(row)
         yield c, p, prow
 
 
-def _rref(rows: list) -> list:
-    """Reduced row echelon form of sparse integer rows, as the (pivot_col,
-    row_id, row) triples of _echelon with every pivot column cleared from
-    the other rows. The back substitution is fraction-free like _echelon;
-    only then is each row divided by its pivot value, so the rows come out
-    as {col: Fraction} dicts with an exact 1 on the pivot. RREF is unique,
-    so the output is canonical. Consumes rows."""
-    finished = list(_echelon(rows))
-    # back substitution, last pivot first: the rows in reduced are free of
-    # every other pivot column, so combining with them adds no pivot column
+def _back_substitute(finished: list) -> None:
+    """Clear every pivot column from the other rows of the (pivot_col,
+    row_id, row) triples of _echelon, in place and fraction-free, last
+    pivot first: the rows already reduced are free of every other pivot
+    column, so combining with them adds no pivot column."""
     reduced: dict = {}
     for c, _, row in reversed(finished):
         for p in [k for k in row if k in reduced]:
@@ -482,6 +590,16 @@ def _rref(rows: list) -> list:
             if a != 1:
                 _divide_content(row)
         reduced[c] = row
+
+
+def _rref(rows: list) -> list:
+    """Reduced row echelon form of sparse integer rows, as the (pivot_col,
+    row_id, row) triples of _echelon after _back_substitute; only then is
+    each row divided by its pivot value, so the rows come out as {col:
+    Fraction} dicts with an exact 1 on the pivot. RREF is unique, so the
+    output is canonical. Consumes rows."""
+    finished = list(_echelon(rows))
+    _back_substitute(finished)
     for c, _, row in finished:
         pv = row[c]
         for k, v in row.items():
@@ -524,14 +642,17 @@ def _subtract(w: dict, f, row: dict) -> None:
 
 
 def stacked(blocks, cols: int) -> SparseMatrix:
-    """The blocks, each with cols columns, one above the other."""
-    ent = {}
+    """The blocks, each with cols columns, one above the other; the result
+    shares their stored rows."""
+    rows, dens = {}, {}
     offset = 0
     for b in blocks:
-        for (row, col), v in b.entries.items():
-            ent[(offset + row, col)] = v
+        for r, row, den in b.integer_rows():
+            rows[offset + r] = row
+            if den != 1:
+                dens[offset + r] = den
         offset += b.rows
-    return SparseMatrix(offset, cols, ent)
+    return SparseMatrix.from_integer_rows(offset, cols, rows, dens)
 
 
 def to_dense(row: dict, n: int) -> tuple:
@@ -586,8 +707,9 @@ class Subspace:
                 if v:
                     row[i] = v
             if row:
+                _clear_denominators(row)
                 rows.append(row)
-        finished = _rref(_integer_rows(rows))
+        finished = _rref(rows)
         return cls(ambient_dim, tuple(row for _, _, row in finished),
                    tuple(c for c, _, _ in finished))
 
@@ -651,36 +773,27 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def kernel_basis(m: SparseMatrix, pivots: Optional[list] = None) -> Subspace:
-    """Basis of the right null space {v : m v = 0}.
+def kernel_basis(m: SparseMatrix) -> Subspace:
+    """Basis of the right null space {v : m v = 0}, read off m's stored
+    echelon: the vectors of _kernel, each divided by its value at its free
+    column, are the RREF basis.
 
-    rank(m) + dim kernel = cols(m). When a list is passed as pivots, the
-    elimination appends to it the position (column, row of m) of each
-    pivot it took, in the order taken: certified_rank's lower bound.
+    rank(m) + dim kernel = cols(m).
 
     >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).basis
     ((Fraction(1, 1), Fraction(-1, 2)),)
     """
-    finished = _rref(_integer_rows(m.row_dicts()))
-    if pivots is not None:
-        row_ids = sorted({r for r, _ in m.entries})  # the rows of row_dicts
-        pivots.extend((c, row_ids[rid]) for c, rid, _ in finished)
-    pivot_cols = {c for c, _, _ in finished}
-    # one vector per free column f: 1 at f, minus column f of the RREF
-    vectors = {f: {f: Fraction(1)} for f in range(m.cols) if f not in pivot_cols}
-    for c, _, row in finished:
-        for f, x in row.items():
-            if f != c:
-                vectors[f][c] = -x
-    return Subspace.from_vectors(m.cols, vectors.values())
+    _, kernel = _kernel(m)
+    rows = tuple({k: Fraction(v, vec[f]) for k, v in vec.items()}
+                 for f, vec in kernel.items())
+    return Subspace(m.cols, rows, tuple(kernel))
 
 
 def column_space(m: SparseMatrix) -> Subspace:
-    """Span of the columns of m, as a subspace of Q^rows."""
-    columns = [{} for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        columns[c][r] = v
-    return Subspace.from_vectors(m.rows, columns)
+    """Span of the columns of m, as a subspace of Q^rows; each column is
+    passed as the integer row of the transpose, a positive multiple."""
+    columns = m.transpose()._rows
+    return Subspace.from_vectors(m.rows, (columns.get(c, {}) for c in range(m.cols)))
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -13,6 +13,7 @@ completely reducibly.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .exact_linalg import (
@@ -30,6 +31,7 @@ from .cochain import (
     CohomologyResult,
     _coboundary_space,
     _extend_echelon,
+    _keep_block,
     cochain_dim,
     differential,
 )
@@ -81,7 +83,8 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
     """Matrix of w -> v . w on C^n(r, M) for v given in ambient coordinates.
 
     v must be supported on the levi indices. As in cochain.differential,
-    entries are accumulated as Fractions without re-coercing them.
+    the rows are assembled as integers over one denominator D, the lcm of
+    the denominators of the moved brackets and of the action of v.
     """
     g = setup.ambient
     if len(v) != g.dim:
@@ -95,8 +98,7 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
     md = setup.module.module_dim
     rad = setup.radical
     rad_pos = {p: a for a, p in enumerate(rad)}
-    # moved[a]: [v, e_a] over the radical basis as (k, -c, c), the entry of
-    # a slot in even and in odd position; nonzero c only
+    # moved[a]: [v, e_a] over the radical basis, nonzero components only
     moved = []
     for b in rad:
         comps: dict = {}
@@ -105,17 +107,25 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
                 for k, c in g.bracket_basis(li, b).items():
                     kr = rad_pos[k]
                     comps[kr] = comps.get(kr, Fraction(0)) + x * c
-        moved.append([(kr, -c, c) for kr, c in comps.items() if c])
-    rho_v = setup.module.action(v).entries.items()
-    ent: dict = {}
-    get = ent.get
+        moved.append([(kr, c) for kr, c in comps.items() if c])
+    rho = list(setup.module.action(v).integer_rows())
+    D = lcm(*[c.denominator for terms in moved for _, c in terms],
+            *[den for _, _, den in rho])
+    rho_v = [(mr, mc, x * (D // den)) for mr, row, den in rho for mc, x in row.items()]
+    # moved[a] as (k, -c, c) times D: the entry of a slot in even and in odd
+    # position
+    moved = [[(kr, -c.numerator * (D // c.denominator), c.numerator * (D // c.denominator))
+              for kr, c in terms] for terms in moved]
     tuples = space.tuples
     index = {t: a for a, t in enumerate(tuples)}
+    col_ids = list(range(space.dim))  # shared int objects, as in differential
+    rows: dict = {}
     for tpos, T in enumerate(tuples):
         ro = tpos * md
-        # the first entries of row block ro: no key repeats
-        for (mr, mc), x in rho_v:
-            ent[(ro + mr, ro + mc)] = x
+        block = [{} for _ in range(md)]
+        # the first entries of each row: no key repeats
+        for mr, mc, x in rho_v:
+            block[mr][col_ids[ro + mc]] = x
         for i, a in enumerate(T):
             rest = T[:i] + T[i + 1:]
             for kr, even, odd in moved[a]:
@@ -124,11 +134,13 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
                 pos = sum(1 for t in rest if t < kr)
                 x = odd if (i + pos) % 2 else even
                 co = index[tuple(sorted(rest + (kr,)))] * md
-                for m in range(md):
-                    key = (ro + m, co + m)
-                    y = get(key)
-                    ent[key] = x if y is None else y + x
-    return SparseMatrix(space.dim, space.dim, ent)
+                for m, row in enumerate(block):
+                    key = col_ids[co + m]
+                    y = row.get(key)
+                    row[key] = x if y is None else y + x
+        _keep_block(rows, ro, block)
+    return SparseMatrix.from_integer_rows(space.dim, space.dim, rows,
+                                          dict.fromkeys(rows, D) if D != 1 else None)
 
 
 def generator_actions(setup: InvariantSetup, n: int) -> list:

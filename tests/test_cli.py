@@ -220,10 +220,13 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
     float_target = {"basis": ["a", "b", "c"],
                     "brackets": [{"left": 0, "right": 1, "result": [[2.0, "1"]]}]}
     int_name = dict(catalog.heisenberg(1).to_json_dict(), name=5)
+    huge_exponent = catalog.sl2().to_json_dict()
+    huge_exponent["brackets"][0]["result"] = [[2, "1e30000000"]]
     cases = [(json.dumps(data), words) for data, words in (
         (zero_den, "1/0"), (string_basis, "basis"), (float_coeff, "0.1"),
         (float_pair, "0.9"), (bool_left, "False"), (float_target, "2.0"),
-        (int_name, "name must be a string"))]
+        (int_name, "name must be a string"),
+        (huge_exponent, "exponent too large"))]
     cases.append(("[" * 3000 + "]" * 3000, "nested too deeply"))
     for text, words in cases:
         path.write_text(text)
@@ -251,6 +254,8 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         ('[[[0, 1], 0.0, "1"]]', "0.0"),
         ('[[[false, 1], 0, "1"]]', "False"),
         ('[[[0, 1], true, "1"]]', "True"),
+        ('[["01", 0, "1"]]', "not a list of indices"),
+        ('[[[0, 1], 0, "1e30000000"]]', "exponent too large"),
         ("[" * 3000 + "]" * 3000, "nested too deeply"),
     ):
         path.write_text(text)

@@ -41,6 +41,16 @@ def test_rat_round_trips():
     assert rat(rat_str(Fraction(355, 113))) == Fraction(355, 113)
 
 
+def test_rat_refuses_large_exponents():
+    assert rat("1e100") == 10 ** 100
+    assert rat("-2.5E-3") == Fraction(-1, 400)
+    assert rat("1e0_0_7") == 10 ** 7
+    # refused before Fraction expands them: none of these allocates
+    for text in ("1e101", "1E-101", "1e+1_000", "3e00000000101", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent too large"):
+            rat(text)
+
+
 def test_known_ranks():
     assert SparseMatrix.identity(5).rank() == 5
     assert SparseMatrix.zero(3, 9).rank() == 0
@@ -135,40 +145,43 @@ def test_annihilates_scales_rows_with_denominators():
     ker = kernel_basis(m)
     assert ker.dim == 2
     assert any(v.denominator != 1 for row in ker.rows for v in row.values())
-    assert exact_linalg._annihilates(m, ker)
+    assert exact_linalg._annihilates(m, dict(zip(ker.pivots, ker.rows)))
     row = dict(ker.rows[0])
     k = next(k for k in row if k != ker.pivots[0])
     row[k] += Fraction(1, 7)
-    moved = Subspace(ker.ambient_dim, (row,) + ker.rows[1:], ker.pivots)
+    moved = dict(zip(ker.pivots, (row,) + ker.rows[1:]))
     assert not exact_linalg._annihilates(m, moved)
 
 
-def _drop_vector(ker, pivots):
-    return Subspace(ker.ambient_dim, ker.rows[1:], ker.pivots[1:])
+def _drop_vector(kernel, pivots):
+    return dict(list(kernel.items())[1:])
 
 
-def _perturb_entry(ker, pivots):
-    row = dict(ker.rows[0])
-    k = next(k for k in row if k != ker.pivots[0])
+def _perturb_entry(kernel, pivots):
+    f, row = next(iter(kernel.items()))
+    row = dict(row)
+    k = next(k for k in row if k != f)
     row[k] += 1
-    return Subspace(ker.ambient_dim, (row,) + ker.rows[1:], ker.pivots)
+    return {**kernel, f: row}
 
 
-def _singular_minor(ker, pivots):
+def _singular_minor(kernel, pivots):
     # rows 0 and 1 of the matrix below are proportional
     pivots[:] = [(c, r) for (c, _), r in zip(pivots, (0, 1))]
-    return ker
+    return kernel
 
 
 @pytest.mark.parametrize("tamper", [None, _drop_vector, _perturb_entry,
                                     _singular_minor])
 def test_certified_rank_falls_back_when_the_proof_fails(monkeypatch, tamper):
     m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    kernel = exact_linalg.kernel_basis
+    kernel = exact_linalg._kernel
     dense = exact_linalg.rank_dense
     if tamper is not None:
-        monkeypatch.setattr(exact_linalg, "kernel_basis",
-                            lambda m, pivots=None: tamper(kernel(m, pivots), pivots))
+        def tampered(m):
+            pivots, vectors = kernel(m)
+            return pivots, tamper(vectors, pivots)
+        monkeypatch.setattr(exact_linalg, "_kernel", tampered)
     called = []
     monkeypatch.setattr(exact_linalg, "rank_dense",
                         lambda m: called.append(m) or dense(m))
@@ -187,10 +200,10 @@ def test_certified_rank_falls_back_when_the_prime_divides_a_denominator(monkeypa
 
 
 def test_certified_rank_is_kept_on_its_matrix(monkeypatch):
-    kernel = exact_linalg.kernel_basis
+    echelon = exact_linalg._echelon
     calls = []
-    monkeypatch.setattr(exact_linalg, "kernel_basis",
-                        lambda m, pivots=None: calls.append(m) or kernel(m, pivots))
+    monkeypatch.setattr(exact_linalg, "_echelon",
+                        lambda rows, *order: calls.append(rows) or echelon(rows, *order))
     m = SparseMatrix.from_rows([[1, 2], [2, 4]])
     assert certified_rank(m) == certified_rank(m) == 1
     assert len(calls) == 1
@@ -202,6 +215,64 @@ def test_certified_rank_is_kept_on_its_matrix(monkeypatch):
     wrong = SparseMatrix.from_rows([[1, 2], [2, 4]])
     wrong._rank = 2
     assert certified_rank(wrong) == 1
+
+
+def test_one_elimination_serves_rank_kernel_and_certificate(monkeypatch):
+    echelon = exact_linalg._echelon
+    calls = []
+    monkeypatch.setattr(exact_linalg, "_echelon",
+                        lambda rows, *order: calls.append(rows) or echelon(rows, *order))
+    m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert m.rank() == 2
+    assert kernel_basis(m).dim == 1
+    assert certified_rank(m) == 2
+    assert kernel_basis(m) == kernel_basis(m)
+    assert len(calls) == 1
+    # an equal but separate matrix runs its own
+    twin = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert twin == m and kernel_basis(twin) == kernel_basis(m)
+    assert len(calls) == 2
+
+
+def _dense(m):
+    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+@st.composite
+def matrix_families(draw):
+    """A rational matrix with some rows emptied, a matrix with as many rows
+    as it has columns, and one with as many columns."""
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+    def matrix(rows, cols):
+        return SparseMatrix(rows, cols, {(r, c): draw(entry) for r in range(rows)
+                                         for c in range(cols) if draw(st.booleans())})
+
+    m = draw(rational_matrices())
+    empty = draw(st.sets(st.integers(0, 7)))
+    m = SparseMatrix(m.rows, m.cols,
+                     {k: v for k, v in m.entries.items() if k[0] not in empty})
+    return (m, matrix(m.cols, draw(st.integers(0, 4))),
+            matrix(draw(st.integers(0, 4)), m.cols))
+
+
+@given(matrix_families())
+@example((SparseMatrix.zero(0, 3), SparseMatrix.zero(3, 2), SparseMatrix.zero(1, 3)))
+def test_integer_rows_match_the_fraction_entries(family):
+    m, right, below = family
+    entries = m.entries
+    assert all(type(v) is Fraction for v in entries.values())
+    copy = SparseMatrix(m.rows, m.cols, entries)
+    assert copy == m and hash(copy) == hash(m)
+    dense = rank_dense(m)
+    assert m.rank() == certified_rank(m) == m.cols - kernel_basis(m).dim == dense
+    a, b, c = _dense(m), _dense(right), _dense(below)
+    assert _dense(m.transpose()) == [[a[r][j] for r in range(m.rows)]
+                                     for j in range(m.cols)]
+    assert _dense(m @ right) == [[sum((a[r][k] * b[k][j] for k in range(m.cols)),
+                                      Fraction(0))
+                                  for j in range(right.cols)] for r in range(m.rows)]
+    assert _dense(exact_linalg.stacked([m, below], m.cols)) == a + c
 
 
 def test_certified_rank_keeps_a_fallback_result(monkeypatch):
