@@ -437,14 +437,14 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
 
 
 class _Algebra:
-    """One algebra of the claim table and what its rows share: its modules,
-    invariant setups and invariant cohomology."""
+    """One algebra of the claim table and what its rows share: its modules
+    and invariant setups, which keep their invariant cohomology."""
 
     def __init__(self, build: str, n):
         make = getattr(catalog, build)
         self.n = n
         self.g = make() if n is None else make(n)
-        self.modules, self.setups, self.inv = {}, {}, {}
+        self.modules, self.setups = {}, {}
 
     def module(self, coeff):
         if coeff not in self.modules:
@@ -460,7 +460,7 @@ class _Algebra:
 
 def _algebra_rows(alg: _Algebra, claims: list) -> list:
     """Rows of one family on one algebra."""
-    g, n, module, setup, inv = alg.g, alg.n, alg.module, alg.setup, alg.inv
+    g, n, module, setup = alg.g, alg.n, alg.module, alg.setup
     rows = []
     for _, label, quantity, coeff, p, stated in claims:
         if callable(stated):
@@ -483,13 +483,12 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
             computed = derivation_space(g).dim
             dense = g.dim * g.dim - certified_rank(_leibniz_system(g))
         else:
-            if (coeff, p) not in inv:
-                inv[coeff, p] = invariant_cohomology(setup(coeff), p)
+            inv = invariant_cohomology(setup(coeff), p)
             if quantity == "Z":
-                computed = inv[coeff, p].dim_cocycles
+                computed = inv.dim_cocycles
                 dense = _dense_z_inv_dim(setup(coeff), p)
             else:
-                computed = inv[coeff, p].dim_coboundaries
+                computed = inv.dim_coboundaries
                 dense = _dense_b_inv_dim(setup(coeff), p)
         if conflict:
             status = "DISCREPANCY"

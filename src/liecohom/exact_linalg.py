@@ -6,10 +6,10 @@ by that denominator, which is the lcm of their own denominators. So the
 integers and the denominator share no factor and the storage is unique.
 The Fraction entries are a view, built when read.
 
-A matrix is eliminated at most once. The first call to rank, kernel_basis
-or certified_rank runs _echelon, the one elimination kernel, on copies of
-the stored rows, and the matrix keeps the result: its pivots and integer
-pivot rows. The elimination is fraction-free: rows are combined by integer
+A matrix is eliminated at most once. The first call to rank, kernel_basis,
+column_space or certified_rank runs _echelon, the one elimination kernel,
+on copies of the stored rows it may change, and the matrix keeps the
+result: its pivots and integer pivot rows. The elimination is fraction-free: rows are combined by integer
 multipliers and divided by the gcd of their entries, which keeps the zero
 patterns of the rational rows, so the pivots are those of rational
 elimination. It takes the columns from last to first. Back substitution
@@ -33,6 +33,7 @@ its helpers, so a fault there cannot certify itself. When the bounds do not
 meet, rank_dense decides.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
@@ -97,8 +98,8 @@ class SparseMatrix:
     stored. entries is the {(row, col): Fraction} view, built on each read.
     The constructor takes entries of any int, string or Fraction value.
 
-    The first rank, kernel_basis or certified_rank call keeps the
-    elimination in the _elimination slot, and later calls only read it;
+    The first rank, kernel_basis, column_space or certified_rank call keeps
+    the elimination in the _elimination slot, and later calls only read it;
     _rank is its pivot count and _certified the certified rank.
 
     >>> m = SparseMatrix(2, 2, {(0, 0): rat(1), (1, 1): rat(2)})
@@ -328,10 +329,11 @@ def _clear_denominators(row: dict) -> int:
 def _stored_echelon(m: SparseMatrix) -> list:
     """m's forward elimination as (pivot_col, row of m, integer pivot row)
     triples, columns taken from last to first: run once, on copies of the
-    stored rows, and kept on m with its pivot count in _rank."""
+    stored rows, and kept on m with its pivot count in _rank. _echelon never
+    changes a row that starts as a singleton, so those are not copied."""
     if m._elimination is None:
         ids = list(m._rows)
-        rows = [dict(row) for row in m._rows.values()]
+        rows = [row if len(row) == 1 else dict(row) for row in m._rows.values()]
         m._elimination = [(c, ids[i], row) for c, i, row in _echelon(rows, True)]
         m._rank = len(m._elimination)
     return m._elimination
@@ -537,34 +539,76 @@ def _echelon(rows: list, last_first: bool = False):
     _scale, and when a != 1 it is then divided by the gcd of its entries.
     Integer rows keep the zero patterns of the rational rows they stand
     for, so pivots and counts are those of rational elimination. Consumes
-    rows, a list of {col: int} dicts: pivot rows are taken out of it and
-    the others are reduced in place.
+    rows, a list of {col: int} dicts: the rows holding a pivot column are
+    reduced in place.
+
+    Two shortcuts give the same pivots and rows. A row that starts as a
+    singleton {c: v} holds no other column, so nothing changes it before
+    column c is reached, and then it is the sparsest kind of holder: such
+    rows stay out of the index, never change, and the lowest of them in
+    column c competes for the pivot there; the others in column c would
+    only become empty. And when the pivot row is a singleton, a*row - b*prow
+    divided by its content is the row without column c, divided by its
+    content exactly when a != 1, that is when pv does not divide row[c].
     """
-    col_rows: dict = {}
+    col_rows = defaultdict(list)
+    single: dict = {}  # column -> lowest id of a row that starts as {column: v}
     for rid, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, []).append(rid)
-    top = max(col_rows, default=-1)
+        if len(row) == 1:
+            (c,) = row
+            single.setdefault(c, rid)
+        else:
+            for c in row:
+                col_rows[c].append(rid)
+    top = max(max(col_rows, default=-1), max(single, default=-1))
     for c in range(top, -1, -1) if last_first else range(top + 1):
-        holders = col_rows.pop(c, None)
-        if not holders:
+        holders = col_rows.pop(c, ())
+        s = single.get(c)
+        if s is not None:
+            p, n = s, 1
+        elif holders:
+            p = holders[0]
+            n = len(rows[p])
+        else:
             continue
-        p = min(holders, key=lambda rid: (len(rows[rid]), rid))
-        holders.remove(p)
-        prow, rows[p] = rows[p], None
-        for k in prow:
-            if k != c:
-                col_rows[k].remove(p)
+        for rid in holders:
+            k = len(rows[rid])
+            if k < n or k == n and rid < p:
+                p, n = rid, k
+        prow = rows[p]
         pv = prow[c]
+        if p != s:
+            holders.remove(p)
+            for k in prow:
+                if k != c:
+                    col_rows[k].remove(p)
+        if n == 1:
+            for rid in holders:
+                row = rows[rid]
+                f = row.pop(c)
+                if not row:
+                    rows[rid] = None
+                elif f % pv:
+                    _divide_content(row)
+            yield c, p, prow
+            continue
         tail = [(k, v) for k, v in prow.items() if k != c]
         for rid in holders:
             row = rows[rid]
-            a, b = _scale(row, pv, row.pop(c))
+            f = row.pop(c)
+            # the multipliers of _scale
+            g = gcd(pv, f)
+            if pv < 0:
+                g = -g
+            a, b = pv // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in tail:
                 nv = row.get(k, 0) - b * v
                 if nv:
                     if k not in row:
-                        col_rows.setdefault(k, []).append(rid)
+                        col_rows[k].append(rid)
                     row[k] = nv
                 else:
                     del row[k]
@@ -790,10 +834,13 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
 
 
 def column_space(m: SparseMatrix) -> Subspace:
-    """Span of the columns of m, as a subspace of Q^rows; each column is
-    passed as the integer row of the transpose, a positive multiple."""
+    """Span of the columns of m, as a subspace of Q^rows. Row operations
+    keep the linear relations among columns, so the pivot columns of m's
+    stored echelon are a basis of the span, and only they are passed, each
+    as the integer row of the transpose, a positive multiple."""
     columns = m.transpose()._rows
-    return Subspace.from_vectors(m.rows, (columns.get(c, {}) for c in range(m.cols)))
+    return Subspace.from_vectors(m.rows, [columns[c] for c in
+                                          sorted(c for c, _, _ in _stored_echelon(m))])
 
 
 def intersect(u: Subspace, v: Subspace) -> Subspace:

@@ -76,14 +76,18 @@ def hs_factorized_dim(setup: InvariantSetup, p: int) -> int:
     """sum over m + n = p of dim H^m(s, triv) * dim H^n(r, M)^s.
 
     The levi cohomology is computed, not assumed, so semisimplicity
-    enters only through the vanishing it produces.
+    enters only through the vanishing it produces. The setup keeps one
+    trivial levi module, so its differentials are built and eliminated
+    once per setup.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
     if p > HS_DEGREE_CAP:
         raise ValueError(f"factorized sum implemented for p <= {HS_DEGREE_CAP}")
     s = setup.levi_algebra
-    triv = trivial_rep(s, 1)
+    if "levi_trivial" not in setup._cache:
+        setup._cache["levi_trivial"] = trivial_rep(s, 1)
+    triv = setup._cache["levi_trivial"]
     total = 0
     for m in range(p + 1):
         left = cohomology(s, triv, m).dim_cohomology

@@ -167,19 +167,23 @@ def invariant_subspace(setup: InvariantSetup, n: int) -> Subspace:
 
 def invariant_cohomology(setup: InvariantSetup, n: int) -> CohomologyResult:
     """(Z^n cap Inv) / (B^n cap Inv) with representatives, which are
-    computed when .representatives is first read.
+    computed when .representatives is first read. Kept per setup and
+    degree.
 
     dim_cochain reports the full C^n(r, M) dimension; dim_cocycles and
     dim_coboundaries are the invariant intersections. Z^n cap Inv is the
     kernel of d_n restricted to the Inv basis, so the full Z^n is never
     formed.
     """
+    key = ("H", n)
+    if key in setup._cache:
+        return setup._cache[key]
     r, M = setup.radical_algebra, setup.radical_module
     inv = invariant_subspace(setup, n)
     z_inv = kernel_within(differential(r, M, n), inv)
     b_inv = intersect(_coboundary_space(r, M, n), inv)
     dim_h = z_inv.dim - b_inv.dim
-    return CohomologyResult(
+    setup._cache[key] = CohomologyResult(
         degree=n,
         dim_cochain=cochain_dim(r, M, n),
         dim_cocycles=z_inv.dim,
@@ -187,6 +191,7 @@ def invariant_cohomology(setup: InvariantSetup, n: int) -> CohomologyResult:
         dim_cohomology=dim_h,
         compute_representatives=lambda: _extend_echelon(b_inv, z_inv, dim_h),
     )
+    return setup._cache[key]
 
 
 def invariant_subcomplex_cohomology(setup: InvariantSetup, n: int) -> dict:

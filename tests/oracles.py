@@ -4,11 +4,13 @@ Everything here evaluates the defining formulas pointwise, tuple by
 tuple, without reusing the library's matrix assembly, so agreement is
 evidence rather than tautology. Shared inputs are limited to structure
 constants and action matrix entries, which are the data under test's
-own ground truth.
+own ground truth. reference_echelon is the exception: a frozen copy of an
+earlier elimination kernel, which the current one must match exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from liecohom.lie_core import LieAlgebra
 
@@ -192,3 +194,68 @@ def gauss_jordan(n: int, vectors):
         pivots.append(c)
     out = tuple({k: x for k, x in enumerate(row) if x} for row in rows[:len(pivots)])
     return out, tuple(pivots)
+
+
+def reference_echelon(rows: list, last_first: bool = False):
+    """The elimination kernel as it stood before its fast paths, kept
+    verbatim as the reference they must match triple for triple.
+
+    Fraction-free forward elimination of sparse integer rows, columns in
+    order or from the last to the first, yielding (pivot_col, row_id, row)
+    for each pivot: the sparsest row holding the column, ties going to the
+    lowest row id. A holder becomes a*row - b*prow, and when a != 1 it is
+    divided by the gcd of its entries. Consumes rows."""
+    col_rows: dict = {}
+    for rid, row in enumerate(rows):
+        for c in row:
+            col_rows.setdefault(c, []).append(rid)
+    top = max(col_rows, default=-1)
+    for c in range(top, -1, -1) if last_first else range(top + 1):
+        holders = col_rows.pop(c, None)
+        if not holders:
+            continue
+        p = min(holders, key=lambda rid: (len(rows[rid]), rid))
+        holders.remove(p)
+        prow, rows[p] = rows[p], None
+        for k in prow:
+            if k != c:
+                col_rows[k].remove(p)
+        pv = prow[c]
+        tail = [(k, v) for k, v in prow.items() if k != c]
+        for rid in holders:
+            row = rows[rid]
+            a, b = _reference_scale(row, pv, row.pop(c))
+            for k, v in tail:
+                nv = row.get(k, 0) - b * v
+                if nv:
+                    if k not in row:
+                        col_rows.setdefault(k, []).append(rid)
+                    row[k] = nv
+                else:
+                    del row[k]
+                    col_rows[k].remove(rid)
+            if not row:
+                rows[rid] = None  # an emptied dict keeps its table
+            elif a != 1:
+                _reference_divide_content(row)
+        yield c, p, prow
+
+
+def _reference_scale(row: dict, pv: int, f: int) -> tuple:
+    """(a, b) with a*f == b*pv: a = pv/g and b = f/g for g = gcd(pv, f)
+    taken with the sign of pv, so a > 0; multiplies row by a in place."""
+    g = gcd(pv, f)
+    if pv < 0:
+        g = -g
+    a = pv // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    return a, f // g
+
+
+def _reference_divide_content(row: dict) -> None:
+    h = gcd(*row.values())
+    if h > 1:
+        for k in row:
+            row[k] //= h

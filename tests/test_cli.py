@@ -377,6 +377,31 @@ def test_any_algebra_file_ends_in_an_exit_code(tmp_path_factory, text):
         assert "Traceback" not in err.getvalue(), (argv, text)
 
 
+@st.composite
+def cochain_files(draw):
+    """Cochain JSON for the 2-cochains of heisenberg:1 (basis indices 0..2,
+    one module coordinate), every field sometimes replaced by an arbitrary
+    JSON value."""
+    index = _or_any(st.integers(-1, 3))
+    coeff = _or_any(st.integers(-2, 2)
+                    | st.sampled_from(("1", "-1/2", "1/0", "x", "2e3", "1e999")))
+    term = _or_any(st.tuples(_or_any(st.lists(index, max_size=3)), index, coeff).map(list)
+                   | st.lists(index | coeff, max_size=4))
+    return json.dumps(draw(_or_any(st.lists(term, max_size=4))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cochain_files())
+def test_any_cochain_file_ends_in_an_exit_code(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz-cochain.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["extend", "heisenberg:1", "--cocycle-file", str(path)])
+    assert code in (0, 1, 2, 3), text
+    assert "Traceback" not in err.getvalue(), text
+
+
 ONE_RUN_EACH = {
     "info": ("sl2",),
     "cohomology": ("sl2", "--coeff", "trivial"),

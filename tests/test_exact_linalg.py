@@ -17,7 +17,7 @@ from liecohom.exact_linalg import (
     rat_str,
 )
 
-from oracles import gauss_jordan
+from oracles import gauss_jordan, reference_echelon
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -296,6 +296,43 @@ def test_echelon_pivot_rows_are_integer_and_content_free():
     rows = [{0: -2, 1: 1}, {0: 3, 1: 1, 2: 1}]
     assert list(exact_linalg._echelon(rows)) == [
         (0, 0, {0: -2, 1: 1}), (1, 1, {1: 5, 2: 2})]
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Sparse integer rows rich in what the shortcuts of _echelon meet:
+    singleton rows, duplicate rows and multiples of rows, pivot values +-1
+    and nonunit ones such as 4 and -2, and rows whose entries share a
+    factor."""
+    cols = draw(st.integers(1, 7))
+    column = st.integers(0, cols - 1)
+    value = st.sampled_from((1, -1, 2, -2, 3, 4, -4, 6, -9))
+    row = st.dictionaries(column, value, min_size=1, max_size=cols)
+    singleton = st.builds(lambda c, v: {c: v}, column, value)
+    rows = draw(st.lists(singleton | row, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        source = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.sampled_from((1, 1, -1, 2, -3)))
+        rows.insert(draw(st.integers(0, len(rows))),
+                    {c: k * v for c, v in source.items()})
+    return rows
+
+
+@settings(max_examples=500)
+@given(echelon_inputs(), st.booleans())
+@example([{0: 4}, {0: 6, 1: 2}, {0: 8, 1: 3}, {0: -2}, {1: 4, 2: 6}, {1: 4, 2: 6}], False)
+@example([{2: -2}, {0: 3, 2: 4}, {0: 9, 1: 6, 2: 5}, {2: 3}, {1: 2}], True)
+def test_echelon_matches_the_reference(rows, last_first):
+    """The same (pivot_col, row_id, row) triples as the elimination before
+    its shortcuts, each row with its entries in the same order; rows that
+    start as singletons are never changed."""
+    singles = [(row, dict(row)) for row in rows if len(row) == 1]
+    expected = [(c, p, list(row.items())) for c, p, row in
+                reference_echelon([dict(row) for row in rows], last_first)]
+    got = [(c, p, list(row.items())) for c, p, row in
+           exact_linalg._echelon(rows, last_first)]
+    assert got == expected
+    assert all(row == before for row, before in singles)
 
 
 @st.composite

@@ -171,3 +171,16 @@ def test_hs_first_degree_matches_outer_derivations(sch2):
 def test_hs_degree_three(sch2):
     out = hs_crosscheck(trivial_setup(sch2), 3)
     assert out["agree"], out
+
+
+def test_hs_factorized_dim_keeps_one_levi_module_per_setup(monkeypatch, sch2):
+    from liecohom import factorization
+
+    built = []
+    monkeypatch.setattr(factorization, "trivial_rep",
+                        lambda g, d: built.append(g) or trivial_rep(g, d))
+    setup = adjoint_setup(sch2)
+    assert [hs_factorized_dim(setup, p) for p in (0, 1, 2, 2)] == [1, 2, 1, 1]
+    assert len(built) == 1
+    hs_factorized_dim(adjoint_setup(sch2), 1)
+    assert len(built) == 2

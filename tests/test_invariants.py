@@ -168,3 +168,15 @@ def test_quotient_invariant_counts(g2):
     assert res.dim_cocycles == 0
     assert res.dim_coboundaries == 0
     assert res.dim_cohomology == 0
+
+
+def test_invariant_cohomology_is_kept_per_setup_and_degree(sch2):
+    levi, radical = catalog.canonical_split(sch2)
+    setup = InvariantSetup(sch2, levi, radical, trivial_rep(sch2, 1))
+    res = invariant_cohomology(setup, 2)
+    assert invariant_cohomology(setup, 2) is res
+    assert invariant_cohomology(setup, 1) is not res
+    # a separate setup computes its own, with the same dimensions
+    other = InvariantSetup(sch2, levi, radical, trivial_rep(sch2, 1))
+    assert invariant_cohomology(other, 2) is not res
+    assert invariant_cohomology(other, 2) == res
