@@ -30,7 +30,6 @@ from .exact_linalg import (
 )
 from .lie_core import (
     LieAlgebra,
-    _leibniz_system,
     center,
     derivation_space,
     inner_derivations,
@@ -481,7 +480,10 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
                 note = f"factorized dim {hs['factorized']}, agree={hs['agree']}"
         elif quantity == "Der":
             computed = derivation_space(g).dim
-            dense = g.dim * g.dim - certified_rank(_leibniz_system(g))
+            # Der(g) = Z^1(g, g), the kernel of the adjoint d_1, which the
+            # H^1 and H^2 rows certify as well
+            d1 = differential(g, module("adjoint"), 1)
+            dense = g.dim * g.dim - certified_rank(d1)
         else:
             inv = invariant_cohomology(setup(coeff), p)
             if quantity == "Z":

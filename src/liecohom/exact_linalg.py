@@ -446,7 +446,7 @@ def _annihilates(m: SparseMatrix, kernel: dict) -> bool:
     others) and m k = 0 exactly for each: every stored integer row of m,
     a positive multiple of the rational row, times every vector is 0. The
     product sweeps the rows of m against an index of the vectors by
-    coordinate."""
+    coordinate; a row that meets no coordinate of any vector is skipped."""
     free = set(kernel)
     by_coord: dict = {}
     for j, (f, vec) in enumerate(kernel.items()):
@@ -456,7 +456,10 @@ def _annihilates(m: SparseMatrix, kernel: dict) -> bool:
             if not 0 <= k < m.cols:
                 return False
             by_coord.setdefault(k, []).append((j, x))
+    coords = by_coord.keys()
     for row in m._rows.values():
+        if coords.isdisjoint(row):
+            continue
         out: dict = {}
         for c, v in row.items():
             for j, x in by_coord.get(c, ()):
@@ -503,6 +506,11 @@ def _minor_nonsingular(m: SparseMatrix, pivots: list) -> bool:
         p = j if rows[j] is not None and j in rows[j] else min(col)
         col.remove(p)
         prow, rows[p] = rows[p], None
+        if len(prow) == 1:
+            # a pivot alone in its row only clears its column
+            for i in col:
+                del rows[i][j]
+            continue
         for k in prow:
             if k != j:
                 holders[k].remove(p)

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .exact_linalg import (
@@ -233,24 +234,37 @@ def center(g: LieAlgebra) -> Subspace:
 
 def _leibniz_system(g: LieAlgebra) -> SparseMatrix:
     """Linear system on flattened dim x dim matrices D (entry (r,c) at r*dim+c)
-    expressing D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j] for all i < j."""
+    expressing D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j] for all i < j.
+
+    Assembled as integer rows over den, the lcm of the structure constants'
+    denominators, as cochain.differential assembles its rows."""
     dim = g.dim
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    ent: dict = {}
-    for p, (i, j) in enumerate(pairs):
-        base = p * dim
-        for m, c in g.bracket_basis(i, j).items():
-            for k in range(dim):
-                key = (base + k, k * dim + m)
-                ent[key] = ent.get(key, 0) + c
-        for m in range(dim):
-            for k, c in g.bracket_basis(m, j).items():
-                key = (base + k, m * dim + i)
-                ent[key] = ent.get(key, 0) - c
-            for k, c in g.bracket_basis(i, m).items():
-                key = (base + k, m * dim + j)
-                ent[key] = ent.get(key, 0) - c
-    return SparseMatrix(len(pairs) * dim, dim * dim, ent)
+    den = lcm(*[c.denominator for comps in g.structure.values() for c in comps.values()])
+    # br[i][j]: [b_i, b_j] times den, any index order
+    br = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (i, j), comps in g.structure.items():
+        for k, c in comps.items():
+            br[i][j][k] = x = c.numerator * (den // c.denominator)
+            br[j][i][k] = -x
+    rows: dict = {}
+    base = 0
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            block = [{} for _ in range(dim)]
+            for m, c in br[i][j].items():
+                for k in range(dim):
+                    block[k][k * dim + m] = c
+            for m in range(dim):
+                for col, bm in ((m * dim + i, br[m][j]), (m * dim + j, br[i][m])):
+                    for k, c in bm.items():
+                        block[k][col] = block[k].get(col, 0) - c
+            for k, row in enumerate(block):
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows[base + k] = row
+            base += dim
+    return SparseMatrix.from_integer_rows(base, dim * dim, rows,
+                                          dict.fromkeys(rows, den) if den != 1 else None)
 
 
 def derivation_space(g: LieAlgebra) -> Subspace:

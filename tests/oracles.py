@@ -4,14 +4,17 @@ Everything here evaluates the defining formulas pointwise, tuple by
 tuple, without reusing the library's matrix assembly, so agreement is
 evidence rather than tautology. Shared inputs are limited to structure
 constants and action matrix entries, which are the data under test's
-own ground truth. reference_echelon is the exception: a frozen copy of an
-earlier elimination kernel, which the current one must match exactly.
+own ground truth. reference_echelon and reference_leibniz_system are the
+exceptions: frozen copies of an earlier elimination kernel and of the
+earlier Fraction assembly of the Leibniz system, which the current code
+must match exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from liecohom.exact_linalg import SparseMatrix
 from liecohom.lie_core import LieAlgebra
 
 
@@ -259,3 +262,28 @@ def _reference_divide_content(row: dict) -> None:
     if h > 1:
         for k in row:
             row[k] //= h
+
+
+def reference_leibniz_system(g: LieAlgebra) -> SparseMatrix:
+    """lie_core._leibniz_system as it stood before its integer assembly,
+    kept verbatim: Fraction entries added per term, then SparseMatrix(...).
+
+    Linear system on flattened dim x dim matrices D (entry (r,c) at r*dim+c)
+    expressing D[b_i,b_j] = [D b_i, b_j] + [b_i, D b_j] for all i < j."""
+    dim = g.dim
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    ent: dict = {}
+    for p, (i, j) in enumerate(pairs):
+        base = p * dim
+        for m, c in g.bracket_basis(i, j).items():
+            for k in range(dim):
+                key = (base + k, k * dim + m)
+                ent[key] = ent.get(key, 0) + c
+        for m in range(dim):
+            for k, c in g.bracket_basis(m, j).items():
+                key = (base + k, m * dim + i)
+                ent[key] = ent.get(key, 0) - c
+            for k, c in g.bracket_basis(i, m).items():
+                key = (base + k, m * dim + j)
+                ent[key] = ent.get(key, 0) - c
+    return SparseMatrix(len(pairs) * dim, dim * dim, ent)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecohom import catalog, exact_linalg
+from liecohom import catalog, cli, exact_linalg, lie_core
 from liecohom.cli import _build_parser, main
 from liecohom.cochain import CochainSpace, differential, is_cocycle
 from liecohom.exact_linalg import SparseMatrix
@@ -505,9 +505,44 @@ def test_verify_paper_certifies_every_rank(capsys, monkeypatch):
     called = []
     dense = exact_linalg.rank_dense
     monkeypatch.setattr(exact_linalg, "rank_dense", lambda m: called.append(m) or dense(m))
-    code, _, _ = run(capsys, "verify-paper", "--n-max", "3")
+    code, _, _ = run(capsys, "verify-paper", "--n-max", "4")
     assert code == 0
     assert called == []
+
+
+def test_verify_paper_builds_each_leibniz_system_once(capsys, monkeypatch):
+    # derivation_space solves the system; its oracle, the rank of the
+    # adjoint d_1, builds none. Counted under both module names, so that a
+    # copy imported into cli is counted too
+    built = []
+    leibniz = lie_core._leibniz_system
+
+    def counted(g):
+        built.append(g.name)
+        return leibniz(g)
+
+    monkeypatch.setattr(lie_core, "_leibniz_system", counted)
+    monkeypatch.setattr(cli, "_leibniz_system", counted, raising=False)
+    code, _, _ = run(capsys, "verify-paper", "--n-max", "3")
+    assert code == 0
+    assert built == ["schrodinger:2", "schrodinger:3"]
+
+
+def test_wrong_derivation_count_trips_its_oracle(capsys, monkeypatch):
+    derivation_space = cli.derivation_space
+
+    class OffByOne:
+        def __init__(self, g):
+            self.dim = derivation_space(g).dim + 1
+
+    monkeypatch.setattr(cli, "derivation_space", OffByOne)
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["oracle_consistent"] is False
+    bad = [r for r in payload["rows"] if not r["oracle_ok"]]
+    assert [r["claim"] for r in bad] == ["dim Der(sch_2)"]
+    assert bad[0]["note"] == "INTERNAL: oracle got 9, sparse path 10"
 
 
 def test_wrong_sparse_rank_trips_its_oracle(capsys, monkeypatch):

@@ -118,8 +118,41 @@ def minor_positions(draw):
     return m, positions
 
 
-@settings(max_examples=200)
-@given(minor_positions())
+@st.composite
+def integer_minors(draw):
+    """An integer matrix and the (column, row) positions of an n x n minor,
+    1 <= n <= 8, with entries of size at most 5: |det| <= (5 sqrt 8)^8 <
+    2^61, so the minor is singular mod _P exactly when it is over Q. Each
+    row holds its own column, with value +-1 more often than not, and
+    often nothing else; repeated and empty rows make minors singular, and
+    a row may hold entries outside the minor."""
+    n = draw(st.integers(1, 8))
+    rows = n + draw(st.integers(0, 2))
+    cols = rows + draw(st.integers(0, 2))
+    own = draw(st.permutations(range(cols)))
+    value = st.sampled_from((1, -1, 1, -1, 2, -3, 5))
+    extra = st.dictionaries(st.integers(0, cols - 1), st.integers(-5, 5), max_size=3)
+    table = []
+    for r in range(rows):
+        row = {} if draw(st.booleans()) else draw(extra)
+        table.append({**row, own[r]: draw(value)})
+    for _ in range(draw(st.integers(0, 2))):
+        source = table[draw(st.integers(0, rows - 1))]
+        sign = draw(st.sampled_from((1, -1, 0)))
+        table[draw(st.integers(0, rows - 1))] = {c: sign * v for c, v in source.items()}
+    m = SparseMatrix(rows, cols, {(r, c): v for r, row in enumerate(table)
+                                  for c, v in row.items()})
+    chosen = draw(st.permutations(range(rows)))[:n]
+    positions = [(own[r], r) for r in chosen]
+    return m, positions
+
+
+@settings(max_examples=500)
+@given(minor_positions() | integer_minors())
+@example((SparseMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, -1]]),
+          [(0, 0), (1, 1), (2, 2)]))
+@example((SparseMatrix.from_rows([[1, 0, 0], [3, 0, 1], [-2, 0, 1]]),
+          [(0, 0), (1, 1), (2, 2)]))
 def test_minor_nonsingular_agrees_with_dense_oracle(case):
     m, positions = case
     n = len(positions)

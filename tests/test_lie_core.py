@@ -5,14 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liecohom import catalog
-from liecohom.cochain import cohomology
-from liecohom.exact_linalg import SparseMatrix, Subspace
+from liecohom.cochain import cohomology, differential
+from liecohom.exact_linalg import SparseMatrix, Subspace, certified_rank
 from liecohom.lie_core import (
     ActionNotDerivation,
     ActionNotHomomorphism,
     LieAlgebra,
     NotAnIdeal,
     NotASubalgebra,
+    _leibniz_system,
     center,
     derivation_space,
     derivations,
@@ -23,7 +24,7 @@ from liecohom.lie_core import (
 )
 from liecohom.representations import adjoint_rep
 
-from oracles import naive_jacobi
+from oracles import naive_jacobi, reference_leibniz_system, rescale_basis
 
 coords = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
 
@@ -144,6 +145,23 @@ def test_derivation_counts(sl2):
     assert derivation_space(catalog.abelian(3)).dim == 9
     for n, expected in ((2, 9), (3, 13), (4, 18)):
         assert derivation_space(catalog.schrodinger(n)).dim == expected
+
+
+def test_integer_leibniz_system_matches_the_fraction_assembly():
+    # x_1 of sch_2 rescaled by 2/3 and read back from its file text: the
+    # structure denominators make den = 6, the path with row denominators
+    scaled = catalog.parse_algebra(catalog.serialize(
+        rescale_basis(catalog.schrodinger(2), 3, Fraction(2, 3))))
+    algebras = [catalog.sl2(), catalog.abelian(3), catalog.heisenberg(2),
+                *(catalog.schrodinger(n) for n in (2, 3, 4)),
+                catalog.schrodinger_mod_center(3), scaled]
+    for g in algebras:
+        m, ref = _leibniz_system(g), reference_leibniz_system(g)
+        assert m == ref and m._dens == ref._dens, g.name
+        # Der(g) = Z^1(g, g): the adjoint d_1 gives the same dimension
+        d1 = differential(g, adjoint_rep(g), 1)
+        assert derivation_space(g).dim == g.dim ** 2 - certified_rank(d1), g.name
+    assert _leibniz_system(scaled)._dens
 
 
 def test_derivations_satisfy_leibniz(sch2):
