@@ -196,11 +196,22 @@ def cmd_info(args) -> tuple:
         EXIT_OK if bad is None else EXIT_BAD_ALGEBRA)
 
 
+def _full_cohomology(g: LieAlgebra, rep: Representation, p: int):
+    """cohomology(g, rep, p) with d_p and then d_{p-1} built and eliminated
+    first: the representatives need them, and the dimensions then read
+    their ranks instead of assembling weight-zero blocks as well. d_{p-1}
+    is built only after d_p's elimination, which sets the peak memory."""
+    differential(g, rep, p).rank()
+    if p:
+        differential(g, rep, p - 1).rank()
+    return cohomology(g, rep, p)
+
+
 def cmd_cohomology(args) -> tuple:
     g = catalog.resolve(args.algebra)
     rep = _coeff_rep(g, args.coeff)
     p = _degree(args)
-    res = cohomology(g, rep, p)
+    res = (_full_cohomology if args.representatives else cohomology)(g, rep, p)
     payload = dict(res.as_dict(), coefficients=args.coeff)
     if args.representatives:
         space = CochainSpace(g, rep, p)
@@ -252,7 +263,7 @@ def cmd_extend(args) -> tuple:
     else:
         if k != 1:
             raise UsageError("--central-dims > 1 requires --cocycle-file")
-        res = cohomology(g, triv, 2)
+        res = _full_cohomology(g, triv, 2)
         if not res.representatives:
             raise UsageError(
                 "second cohomology with trivial coefficients vanishes; "
@@ -473,8 +484,10 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
         conflict = isinstance(stated, tuple)
         note = ""
         if quantity in ("H", "H+hs"):
-            computed = cohomology(g, module(coeff), p).dim_cohomology
+            # the oracle first: it builds d_p and d_{p-1}, so the sparse path
+            # reads their ranks and not those of weight-zero blocks
             dense = _dense_h_dim(g, module(coeff), p)
+            computed = cohomology(g, module(coeff), p).dim_cohomology
             if quantity == "H+hs" and not conflict:
                 hs = hs_crosscheck(setup(coeff), p)
                 note = f"factorized dim {hs['factorized']}, agree={hs['agree']}"
@@ -549,6 +562,19 @@ def _random_sparse(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
     return SparseMatrix(rows, cols, ent)
 
 
+def _permuted(g: LieAlgebra, perm: list) -> LieAlgebra:
+    """g on its basis reordered: basis element i moves to position perm[i]."""
+    structure = {}
+    for (i, j), comps in g.structure.items():
+        sign = 1 if perm[i] < perm[j] else -1
+        structure[min(perm[i], perm[j]), max(perm[i], perm[j])] = {
+            perm[k]: sign * c for k, c in comps.items()}
+    labels = [None] * g.dim
+    for i, label in enumerate(g.labels):
+        labels[perm[i]] = label
+    return LieAlgebra(labels, structure, name=g.name)
+
+
 def _random_cochain(rng: random.Random, dim: int) -> tuple:
     return tuple(
         Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0)
@@ -588,13 +614,27 @@ def cmd_selftest(args) -> tuple:
             extended = False
         if extended != cocycle:
             ext_failures += 1
-    ok = rank_failures == 0 and ext_failures == 0
+    # dimensions from weight-zero blocks against those of the full complex,
+    # on the basis in a random order
+    wz_failures = 0
+    for g in (catalog.sl2(), catalog.schrodinger(2), catalog.schrodinger(3),
+              catalog.schrodinger_mod_center(2)):
+        perm = list(range(g.dim))
+        rng.shuffle(perm)
+        g = _permuted(g, perm)
+        for coeff in ("trivial", "adjoint"):
+            for p in range(4):
+                blocks = cohomology(g, _coeff_rep(g, coeff), p).as_dict()
+                full = _full_cohomology(g, _coeff_rep(g, coeff), p).as_dict()
+                wz_failures += blocks != full
+    ok = rank_failures == 0 and ext_failures == 0 and wz_failures == 0
     payload = {
         "seed": args.seed,
         "rank_trials": args.rank_trials,
         "rank_failures": rank_failures,
         "extension_trials": args.extension_trials,
         "extension_failures": ext_failures,
+        "weight_zero_failures": wz_failures,
         "ok": ok,
     }
     return None, payload, EXIT_OK if ok else EXIT_INTERNAL

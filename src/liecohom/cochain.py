@@ -11,7 +11,19 @@ The differential is
       + sum_{i<j} (-1)^{i+j} phi([e_i, e_j], ..., omit i and j, ...)
 
 with both sums over 0..n. Cocycles are ker d_n, coboundaries im d_{n-1},
-cohomology the quotient.
+cohomology the quotient. M must be an r-module: d squares to zero, and the
+reduction below holds, only when the actions respect the bracket.
+
+Weight-zero reduction. When some basis element x acts diagonally on r and
+on M, [x, e_j] = lam_j e_j and x . v_m = mu_m v_m, with a weight not zero
+(h in every basis of sl2, sch_n and their quotients), x acts on the
+cochain (J, m) by mu_m - sum_{j in J} lam_j, and d preserves this weight.
+By Cartan's formula L_x = d i_x + i_x d, i_x / w contracts the subcomplex
+of each weight w != 0, so only the weight-zero cochains carry cohomology
+(Hochschild and Serre, Ann. Math. 57, 1953). cohomology therefore takes
+the rank of d_n from its weight-zero rows, plus the rank of the acyclic
+rest counted from the weight multiplicities, unless the module already
+holds d_n.
 """
 
 import json
@@ -150,18 +162,24 @@ class CohomologyResult:
 
 
 def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
-    """Matrix of d_n : C^n(r, M) -> C^{n+1}(r, M). Cached per module.
+    """Matrix of d_n : C^n(r, M) -> C^{n+1}(r, M). Cached per module."""
+    _check_pair(r, M)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    cached = M._dcache.get(n)
+    if cached is None:
+        cached = M._dcache[n] = _assemble(r, M, n)
+    return cached
+
+
+def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseMatrix:
+    """d_n, or with a grading (lam, mu) from _grading only its rows (J, m)
+    of weight zero, mu[m] = sum of lam[j] over j in J, in d_n's shape.
 
     Assembled as integer rows over one denominator D, the lcm of the
     denominators of the structure constants and of the action rows: every
     term is an int, and only an entry hit twice is added.
     """
-    _check_pair(r, M)
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    cached = M._dcache.get(n)
-    if cached is not None:
-        return cached
     md = M.module_dim
     tuples_out = list(combinations(range(r.dim), n + 1))
     idx_in = {t: a for a, t in enumerate(combinations(range(r.dim), n))}
@@ -175,19 +193,35 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     acts.append([[(mr, mc, -v) for mr, mc, v in terms] for terms in acts[0]])
     structure = {key: {k: c.numerator * (D // c.denominator) for k, c in comps.items()}
                  for key, comps in r.structure.items()}
+    # kept[w]: the module rows m of weight w, and acts with each such m
+    # replaced by its position among them; without a grading all weigh 0
+    lam, mu = grading or ([0] * r.dim, [0] * md)
+    kept: dict = {}
+    for m, w in enumerate(mu):
+        kept.setdefault(w, []).append(m)
+    for w, ms in kept.items():
+        place = {m: p for p, m in enumerate(ms)}
+        kept[w] = ms, [[[(place[mr], mc, x) for mr, mc, x in terms if mr in place]
+                        for terms in parity] for parity in acts]
     cols = comb(r.dim, n) * md
     # every column index as one shared int object: an index computed anew
     # for each entry would cost an int object per entry
     col_ids = list(range(cols))
     rows: dict = {}
-    for out_pos, J in enumerate(tuples_out):
-        block = [{} for _ in range(md)]
+    # the weights of the tuples J, in the order of tuples_out
+    weights = map(sum, combinations(lam, n + 1))
+    for out_pos, (J, w) in enumerate(zip(tuples_out, weights)):
+        if w not in kept:
+            continue
+        ms, kept_acts = kept[w]
+        block = [{} for _ in ms]
         # the first entries of each row: one column block per i, no key
         # repeats
         for i in range(n + 1):
             co = idx_in[J[:i] + J[i + 1:]] * md
-            for mr, mc, x in acts[i % 2][J[i]]:
-                block[mr][col_ids[co + mc]] = x
+            for p, mc, x in kept_acts[i % 2][J[i]]:
+                block[p][col_ids[co + mc]] = x
+        cancelled = False
         for i in range(n + 1):
             for j in range(i + 1, n + 1):
                 comps = structure.get((J[i], J[j]))
@@ -200,26 +234,84 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
                     pos = sum(1 for t in rest if t < k)
                     s = c if (i + j + pos) % 2 == 0 else -c
                     co = idx_in[tuple(sorted(rest + (k,)))] * md
-                    for m, row in enumerate(block):
+                    for m, row in zip(ms, block):
                         key = col_ids[co + m]
                         y = row.get(key)
-                        row[key] = s if y is None else y + s
-        _keep_block(rows, out_pos * md, block)
-    out = SparseMatrix.from_integer_rows(
+                        if y is None:
+                            row[key] = s
+                        else:
+                            row[key] = y = y + s
+                            if not y:
+                                cancelled = True
+        _keep_block(rows, out_pos * md, zip(ms, block), cancelled)
+    return SparseMatrix.from_integer_rows(
         comb(r.dim, n + 1) * md, cols, rows,
         dict.fromkeys(rows, D) if D != 1 else None)
-    M._dcache[n] = out
-    return out
 
 
-def _keep_block(rows: dict, ro: int, block: list) -> None:
-    """Store the non-empty rows of block, {col: int} dicts for rows ro,
-    ro + 1, ..., in rows, without the entries whose terms cancelled."""
-    for m, row in enumerate(block):
-        if 0 in row.values():
+def _keep_block(rows: dict, ro: int, block, cancelled: bool) -> None:
+    """Store the non-empty rows of block, (m, {col: int}) pairs, as rows
+    ro + m in rows; when some sum in the block cancelled, without its
+    zero entries."""
+    for m, row in block:
+        if cancelled and 0 in row.values():
             row = {k: v for k, v in row.items() if v}
         if row:
             rows[ro + m] = row
+
+
+def _grading(r: LieAlgebra, M: Representation):
+    """(lam, mu) for the first basis element x whose ad matrix and action
+    on M are both diagonal, [x, e_j] = lam[j] e_j and x . v_m = mu[m] v_m,
+    with some weight nonzero; None when there is no such element. The
+    weights are scaled by one positive factor to ints."""
+    # ad[x]: the nonzero weights {j: lam_j} of ad x, None once it is not
+    # diagonal
+    ad = [{} for _ in range(r.dim)]
+    for (i, j), comps in r.structure.items():
+        for x, y in ((i, j), (j, i)):
+            if ad[x] is not None and comps.keys() == {y}:
+                ad[x][y] = comps[y] if x == i else -comps[y]
+            else:
+                ad[x] = None
+    for x, weights in enumerate(ad):
+        mu = None if weights is None else _diagonal(M.actions[x])
+        if mu is not None and (weights or any(mu)):
+            lam = [weights.get(j, Fraction(0)) for j in range(r.dim)]
+            D = lcm(*[w.denominator for w in lam + mu])
+            return ([w.numerator * (D // w.denominator) for w in lam],
+                    [w.numerator * (D // w.denominator) for w in mu])
+    return None
+
+
+def _diagonal(a: SparseMatrix):
+    """The diagonal of a square matrix, or None when it has an entry off it."""
+    diag = [Fraction(0)] * a.rows
+    for i, row, den in a.integer_rows():
+        if row.keys() != {i}:
+            return None
+        diag[i] = Fraction(row[i], den)
+    return diag
+
+
+def _acyclic_rank(k: int, grading) -> int:
+    """Rank of d_k on the cochains of nonzero weight, mu[m] - sum of
+    lam[j] over j in J. They form an exact complex (see the module
+    docstring), so this is the sum over i <= k of (-1)^(k-i) times the
+    number of i-cochains of nonzero weight."""
+    lam, mu = grading
+    # subsets[i][w]: the number of i-tuples J with weight sum w
+    subsets = [{0: 1}] + [{} for _ in range(k)]
+    for w in lam:
+        for i in range(k, 0, -1):
+            counts = subsets[i]
+            for s, count in subsets[i - 1].items():
+                counts[s + w] = counts.get(s + w, 0) + count
+    rank = 0
+    for i in range(k + 1):
+        nonzero = comb(len(lam), i) * len(mu) - sum(subsets[i].get(w, 0) for w in mu)
+        rank = nonzero - rank
+    return rank
 
 
 def _cocycle_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:
@@ -281,9 +373,32 @@ def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
     return tuple(reps)
 
 
+def _rank(r: LieAlgebra, M: Representation, k: int) -> int:
+    """Rank of d_k: read from d_k when M holds it, else with a grading the
+    rank of its weight-zero block plus the exact count of _acyclic_rank,
+    kept on M under ("rank", k)."""
+    dk = M._dcache.get(k)
+    if dk is not None:
+        return dk.rank()
+    key = ("rank", k)
+    if key not in M._dcache:
+        grading = _grading(r, M)
+        if grading is None:
+            return differential(r, M, k).rank()
+        M._dcache[key] = _assemble(r, M, k, grading).rank() + _acyclic_rank(k, grading)
+    return M._dcache[key]
+
+
 def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     """Dimensions of Z^n, B^n, H^n plus representative cocycles, which
-    are computed when .representatives is first read.
+    are computed when .representatives is first read. M must be an
+    r-module.
+
+    Each rank, of d_n and d_{n-1}, is read from the matrix when M holds it
+    already; otherwise, when r has a grading element, it comes from the
+    weight-zero block (see the module docstring) and d_n itself is not
+    built, so a caller that wants representatives builds d_n and d_{n-1}
+    first.
 
     Representatives extend an echelon basis of the coboundaries by
     reduced kernel vectors taken in lexicographic coordinate order; they
@@ -299,9 +414,8 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     1
     """
     dim_c = cochain_dim(r, M, n)
-    dn = differential(r, M, n)
-    dim_z = dim_c - dn.rank()
-    dim_b = 0 if n == 0 else differential(r, M, n - 1).rank()
+    dim_z = dim_c - _rank(r, M, n)
+    dim_b = 0 if n == 0 else _rank(r, M, n - 1)
     dim_h = dim_z - dim_b
 
     def representatives():

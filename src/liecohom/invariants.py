@@ -126,6 +126,7 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
         # the first entries of each row: no key repeats
         for mr, mc, x in rho_v:
             block[mr][col_ids[ro + mc]] = x
+        cancelled = False
         for i, a in enumerate(T):
             rest = T[:i] + T[i + 1:]
             for kr, even, odd in moved[a]:
@@ -137,8 +138,13 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int) -> SparseMatrix:
                 for m, row in enumerate(block):
                     key = col_ids[co + m]
                     y = row.get(key)
-                    row[key] = x if y is None else y + x
-        _keep_block(rows, ro, block)
+                    if y is None:
+                        row[key] = x
+                    else:
+                        row[key] = y = y + x
+                        if not y:
+                            cancelled = True
+        _keep_block(rows, ro, enumerate(block), cancelled)
     return SparseMatrix.from_integer_rows(space.dim, space.dim, rows,
                                           dict.fromkeys(rows, D) if D != 1 else None)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecohom import catalog, cli, exact_linalg, lie_core
+from liecohom import catalog, cli, cochain, exact_linalg, lie_core
 from liecohom.cli import _build_parser, main
-from liecohom.cochain import CochainSpace, differential, is_cocycle
+from liecohom.cochain import CochainSpace, cohomology, differential, is_cocycle
 from liecohom.exact_linalg import SparseMatrix
 from liecohom.lie_core import LieAlgebra
 from liecohom.representations import adjoint_rep
@@ -583,3 +584,55 @@ def test_selftest(capsys):
     assert payload["ok"] is True
     assert payload["rank_failures"] == 0
     assert payload["extension_failures"] == 0
+    assert payload["weight_zero_failures"] == 0
+
+
+def test_selftest_catches_a_wrong_acyclic_count(capsys, monkeypatch):
+    acyclic_rank = cochain._acyclic_rank
+    monkeypatch.setattr(cochain, "_acyclic_rank",
+                        lambda *args: acyclic_rank(*args) + 1)
+    code, data, _ = run_json(capsys, "selftest", "--rank-trials", "0",
+                             "--extension-trials", "0")
+    assert code == 3
+    assert data["payload"]["ok"] is False
+    assert data["payload"]["weight_zero_failures"] > 0
+
+
+def test_adjoint_reps_pinned(capsys):
+    # sha256 of the representatives of H^3(sch_4, sch_4), as the benchmark's
+    # adjoint-reps workload pins them at seed 0 (the identity basis)
+    code, data, _ = run_json(capsys, "cohomology", "schrodinger:4", "--coeff",
+                             "adjoint", "--degree", "3", "--representatives")
+    assert code == 0
+    reps = json.dumps(data["payload"]["representatives"])
+    assert hashlib.sha256(reps.encode()).hexdigest() == (
+        "c60232e33ab65838f1bc3d50827b1aff8c59c297df91504e46a1f87a5c5ddb99")
+
+
+def test_only_dimensions_come_from_weight_zero_blocks(capsys, monkeypatch):
+    g = catalog.schrodinger(4)
+    adj = adjoint_rep(g)
+    assert cohomology(g, adj, 3).dim_cohomology == 49
+    assert 3 not in adj._dcache and 2 not in adj._dcache
+    # each cohomology call of the CLI: were d_p and d_{p-1} built before it?
+    full = []
+    real = cli.cohomology
+
+    def spy(g, M, p):
+        full.append(all(k in M._dcache for k in range(max(p - 1, 0), p + 1)))
+        return real(g, M, p)
+
+    monkeypatch.setattr(cli, "cohomology", spy)
+    for argv, expected in (
+        # the H rows evaluate their oracle first: one elimination per matrix,
+        # and a wrong sparse rank of d_p still shows against the oracle
+        (("verify-paper", "--n-max", "2"), [True] * 9),
+        (("cohomology", "schrodinger:2", "--coeff", "adjoint", "--degree", "2",
+          "--representatives"), [True]),
+        (("extend", "schrodinger:2"), [True]),
+        (("cohomology", "schrodinger:2", "--coeff", "adjoint", "--degree", "2"),
+         [False]),
+    ):
+        full.clear()
+        code, _, _ = run_json(capsys, *argv)
+        assert code == 0 and full == expected, argv

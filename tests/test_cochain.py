@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -8,6 +9,9 @@ import pytest
 from liecohom import catalog, exact_linalg
 from liecohom.cochain import (
     CochainSpace,
+    _acyclic_rank,
+    _assemble,
+    _grading,
     cochain_dim,
     cohomology,
     differential,
@@ -313,3 +317,68 @@ def test_pinned_pivots():
     assert (len(pivots), ker.dim) == (1925, 715)
     assert hashlib.sha256(json.dumps(pivots).encode()).hexdigest() == (
         "79bef1bfca52dee2dd4e7dccbb4dfa9263d7173790f8ec3a8ffd83980613d451")
+
+
+def weight_zero_cases():
+    """(algebra, top degree, graded): sl2 and the Schroedinger algebras and
+    quotients carry h, Heisenberg and abelian algebras no grading element;
+    the permuted sch_3 puts the central z, diagonal with every weight 0,
+    before h, and the rescaled sch_2, read back from its file text, has
+    structure denominators (D = 6)."""
+    perm = list(range(10))
+    random.Random(3).shuffle(perm)
+    scaled = catalog.parse_algebra(catalog.serialize(
+        rescale_basis(catalog.schrodinger(2), 3, Fraction(2, 3))))
+    return [
+        (catalog.sl2(), 3, True),
+        *((catalog.schrodinger(n), 4 if n == 2 else 3, True) for n in (1, 2, 3, 4)),
+        *((catalog.schrodinger_mod_center(n), 3, True) for n in (2, 3)),
+        (catalog.heisenberg(2), 3, False),
+        (catalog.abelian(0), 3, False),
+        (catalog.abelian(3), 3, False),
+        (permute_algebra(catalog.schrodinger(3), perm), 3, True),
+        (scaled, 3, True),
+    ]
+
+
+def modules(g):
+    return {"trivial": lambda: trivial_rep(g, 1), "adjoint": lambda: adjoint_rep(g)}
+
+
+def test_weight_zero_dimensions_match_the_full_complex():
+    for g, top, graded in weight_zero_cases():
+        for coeff, make in modules(g).items():
+            for p in range(top + 1):
+                fresh = make()
+                dims = cohomology(g, fresh, p).as_dict()
+                assert (_grading(g, fresh) is not None) == graded, g.name
+                # the weight-zero path builds no d_p and no d_{p-1}
+                assert (p in fresh._dcache) == (not graded), (g.name, coeff, p)
+                full = make()
+                for k in range(max(p - 1, 0), p + 1):
+                    differential(g, full, k)
+                assert cohomology(g, full, p).as_dict() == dims, (g.name, coeff, p)
+
+
+def test_weight_zero_block_is_the_weight_zero_rows_of_d():
+    for g, top, graded in weight_zero_cases():
+        if not graded:
+            continue
+        # the weights of h, read off its brackets independently of _grading
+        h = g.labels.index("h")
+        lam = [g.bracket_basis(h, j).get(j, Fraction(0)) for j in range(g.dim)]
+        for coeff, make in modules(g).items():
+            M = make()
+            mu = lam if coeff == "adjoint" else [Fraction(0)]
+            grading = _grading(g, M)
+            for k in range(3):
+                d = differential(g, M, k)
+                tuples = list(itertools.combinations(range(g.dim), k + 1))
+                zero = {a * M.module_dim + m for a, J in enumerate(tuples)
+                        for m in range(M.module_dim) if mu[m] == sum(lam[j] for j in J)}
+                block = _assemble(g, M, k, grading)
+                assert (block.rows, block.cols) == (d.rows, d.cols)
+                assert block.entries == {
+                    (r, c): v for (r, c), v in d.entries.items() if r in zero}, (g.name, k)
+                # the rows of nonzero weight are exact: their rank is counted
+                assert block.rank() + _acyclic_rank(k, grading) == d.rank()
