@@ -181,45 +181,29 @@ def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseM
     term is an int, and only an entry hit twice is added.
     """
     md = M.module_dim
-    tuples_out = list(combinations(range(r.dim), n + 1))
     idx_in = {t: a for a, t in enumerate(combinations(range(r.dim), n))}
     actions = [list(a.integer_rows()) for a in M.actions]
     D = lcm(*[c.denominator for comps in r.structure.values() for c in comps.values()],
             *[den for rows in actions for _, _, den in rows])
-    # acts[parity][g]: the entries of e_g's action times D, with sign
-    # (-1)^parity
-    acts = [[[(mr, mc, v * (D // den)) for mr, row, den in rows for mc, v in row.items()]
-             for rows in actions]]
-    acts.append([[(mr, mc, -v) for mr, mc, v in terms] for terms in acts[0]])
+    # acts[g] and acts[r.dim + g]: the entries of e_g's action times D, with
+    # sign + and -
+    acts = [[(mr, mc, v * (D // den)) for mr, row, den in rows for mc, v in row.items()]
+            for rows in actions]
+    acts += [[(mr, mc, -v) for mr, mc, v in terms] for terms in acts]
     structure = {key: {k: c.numerator * (D // c.denominator) for k, c in comps.items()}
                  for key, comps in r.structure.items()}
-    # kept[w]: the module rows m of weight w, and acts with each such m
-    # replaced by its position among them; without a grading all weigh 0
-    lam, mu = grading or ([0] * r.dim, [0] * md)
-    kept: dict = {}
-    for m, w in enumerate(mu):
-        kept.setdefault(w, []).append(m)
-    for w, ms in kept.items():
-        place = {m: p for p, m in enumerate(ms)}
-        kept[w] = ms, [[[(place[mr], mc, x) for mr, mc, x in terms if mr in place]
-                        for terms in parity] for parity in acts]
     cols = comb(r.dim, n) * md
     # every column index as one shared int object: an index computed anew
     # for each entry would cost an int object per entry
     col_ids = list(range(cols))
     rows: dict = {}
-    # the weights of the tuples J, in the order of tuples_out
-    weights = map(sum, combinations(lam, n + 1))
-    for out_pos, (J, w) in enumerate(zip(tuples_out, weights)):
-        if w not in kept:
-            continue
-        ms, kept_acts = kept[w]
+    for out_pos, J, ms, kept_acts in _graded_rows(grading, r.dim, md, n + 1, acts):
         block = [{} for _ in ms]
         # the first entries of each row: one column block per i, no key
         # repeats
         for i in range(n + 1):
             co = idx_in[J[:i] + J[i + 1:]] * md
-            for p, mc, x in kept_acts[i % 2][J[i]]:
+            for p, mc, x in kept_acts[J[i] + i % 2 * r.dim]:
                 block[p][col_ids[co + mc]] = x
         cancelled = False
         for i in range(n + 1):
@@ -249,6 +233,25 @@ def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseM
         dict.fromkeys(rows, D) if D != 1 else None)
 
 
+def _graded_rows(grading, dim: int, md: int, k: int, acts: list):
+    """(position, J, ms, kept) for each k-tuple J of range(dim), in order,
+    with rows (J, m) of weight zero under a grading (lam, mu), all rows
+    without one: ms lists those m, and kept is acts, lists of (mr, mc, x)
+    terms, with each mr in ms replaced by its position there."""
+    lam, mu = grading or ([0] * dim, [0] * md)
+    kept: dict = {}
+    for m, w in enumerate(mu):
+        kept.setdefault(w, []).append(m)
+    for w, ms in kept.items():
+        place = {m: p for p, m in enumerate(ms)}
+        kept[w] = ms, [[(place[mr], mc, x) for mr, mc, x in terms if mr in place]
+                       for terms in acts]
+    weights = map(sum, combinations(lam, k))
+    for pos, (J, w) in enumerate(zip(combinations(range(dim), k), weights)):
+        if w in kept:
+            yield pos, J, *kept[w]
+
+
 def _keep_block(rows: dict, ro: int, block, cancelled: bool) -> None:
     """Store the non-empty rows of block, (m, {col: int}) pairs, as rows
     ro + m in rows; when some sum in the block cancelled, without its
@@ -261,10 +264,17 @@ def _keep_block(rows: dict, ro: int, block, cancelled: bool) -> None:
 
 
 def _grading(r: LieAlgebra, M: Representation):
-    """(lam, mu) for the first basis element x whose ad matrix and action
-    on M are both diagonal, [x, e_j] = lam[j] e_j and x . v_m = mu[m] v_m,
-    with some weight nonzero; None when there is no such element. The
-    weights are scaled by one positive factor to ints."""
+    """(lam, mu) of _grading_element over every basis element of r, or
+    None."""
+    found = _grading_element(r, M, range(r.dim))
+    return found and found[1:]
+
+
+def _grading_element(r: LieAlgebra, M: Representation, among):
+    """(x, lam, mu) for the first basis element x in among whose ad matrix
+    and action on M are both diagonal, [x, e_j] = lam[j] e_j and
+    x . v_m = mu[m] v_m, with some weight nonzero; None when there is no
+    such element. The weights are scaled by one positive factor to ints."""
     # ad[x]: the nonzero weights {j: lam_j} of ad x, None once it is not
     # diagonal
     ad = [{} for _ in range(r.dim)]
@@ -274,12 +284,13 @@ def _grading(r: LieAlgebra, M: Representation):
                 ad[x][y] = comps[y] if x == i else -comps[y]
             else:
                 ad[x] = None
-    for x, weights in enumerate(ad):
+    for x in among:
+        weights = ad[x]
         mu = None if weights is None else _diagonal(M.actions[x])
         if mu is not None and (weights or any(mu)):
             lam = [weights.get(j, Fraction(0)) for j in range(r.dim)]
             D = lcm(*[w.denominator for w in lam + mu])
-            return ([w.numerator * (D // w.denominator) for w in lam],
+            return (x, [w.numerator * (D // w.denominator) for w in lam],
                     [w.numerator * (D // w.denominator) for w in mu])
     return None
 

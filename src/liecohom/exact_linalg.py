@@ -273,9 +273,6 @@ class SparseMatrix:
             ent[key] = ent.get(key, 0) + v
         return SparseMatrix(self.rows, self.cols, ent)
 
-    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, a) -> "SparseMatrix":
         a = Fraction(a)
         return SparseMatrix(
@@ -705,6 +702,23 @@ def stacked(blocks, cols: int) -> SparseMatrix:
                 dens[offset + r] = den
         offset += b.rows
     return SparseMatrix.from_integer_rows(offset, cols, rows, dens)
+
+
+def column_slice(m: SparseMatrix, cols: Sequence[int]) -> SparseMatrix:
+    """The columns cols of m, in that order, as columns 0, 1, ...
+
+    >>> column_slice(SparseMatrix.from_rows([[1, 2, 3]]), [2, 0]).to_rows()
+    [[Fraction(3, 1), Fraction(1, 1)]]
+    """
+    place = {c: i for i, c in enumerate(cols)}
+    rows, dens = {}, {}
+    for r, row, den in m.integer_rows():
+        kept = {place[c]: v for c, v in row.items() if c in place}
+        if kept:
+            rows[r] = kept
+            if den != 1:
+                dens[r] = den
+    return SparseMatrix.from_integer_rows(m.rows, len(place), rows, dens)
 
 
 def to_dense(row: dict, n: int) -> tuple:

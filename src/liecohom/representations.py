@@ -92,11 +92,11 @@ def validate_rep(rep: Representation) -> Optional[RepViolation]:
     g = rep.algebra
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            lhs = SparseMatrix.zero(rep.module_dim, rep.module_dim)
+            # rho([e_i, e_j]) + rho(e_j) rho(e_i) against rho(e_i) rho(e_j)
+            lhs = rep.actions[j] @ rep.actions[i]
             for k, c in g.bracket_basis(i, j).items():
                 lhs = lhs + rep.actions[k].scale(c)
-            rhs = rep.actions[i] @ rep.actions[j] - rep.actions[j] @ rep.actions[i]
-            if lhs != rhs:
+            if lhs != rep.actions[i] @ rep.actions[j]:
                 return RepViolation((i, j))
     return None
 

@@ -1,19 +1,26 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecohom import catalog, cli, cochain, exact_linalg, lie_core
+from liecohom import catalog, cli, cochain, exact_linalg, invariants, lie_core
 from liecohom.cli import _build_parser, main
 from liecohom.cochain import CochainSpace, cohomology, differential, is_cocycle
-from liecohom.exact_linalg import SparseMatrix
+from liecohom.exact_linalg import SparseMatrix, Subspace
+from liecohom.invariants import InvariantSetup, _levi_grading
 from liecohom.lie_core import LieAlgebra
 from liecohom.representations import adjoint_rep
+
+from oracles import dense_bracket
 
 
 def run(capsys, *argv):
@@ -566,6 +573,126 @@ def test_wrong_sparse_rank_trips_its_oracle(capsys, monkeypatch):
     assert [r["claim"] for r in bad] == ["dim H^2(sch_2, sch_2)"]
     assert bad[0]["computed"] == "0"
     assert "INTERNAL: oracle got 1, sparse path 0" in bad[0]["note"]
+
+
+def test_wrong_invariant_coboundaries_trip_their_oracle(capsys, monkeypatch):
+    # the B oracle is rank d_{p-1} - rank(A d_{p-1}) and reads nothing of the
+    # sparse invariant path, so one coboundary too many must show on every
+    # B row
+    invariant_cohomology = cli.invariant_cohomology
+
+    def one_too_many(setup, n):
+        res = invariant_cohomology(setup, n)
+        return dataclasses.replace(res, dim_coboundaries=res.dim_coboundaries + 1)
+
+    monkeypatch.setattr(cli, "invariant_cohomology", one_too_many)
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["oracle_consistent"] is False
+    bad = [(r["claim"], r["note"]) for r in payload["rows"] if not r["oracle_ok"]]
+    assert bad == [
+        ("dim B^2(h_2, triv)^sl2", "INTERNAL: oracle got 1, sparse path 2"),
+        ("dim B^2(h_2, sch_2)^sl2", "INTERNAL: oracle got 3, sparse path 4"),
+        ("dim B^2(a, g_2)^sl2", "INTERNAL: oracle got 0, sparse path 1"),
+    ]
+
+
+def test_dropped_invariant_vector_trips_its_oracle(capsys, monkeypatch):
+    # without the first vector of every Inv basis the Z and B numbers that
+    # it carries fall; the Z oracle solves the full actions and the B oracle
+    # takes no invariant basis, so each such row must show it (g_2's one
+    # invariant 2-cochain is neither a cocycle nor a coboundary)
+    invariant_subspace = invariants.invariant_subspace
+
+    def drop_first(setup, n):
+        inv = invariant_subspace(setup, n)
+        return Subspace(inv.ambient_dim, inv.rows[1:], inv.pivots[1:])
+
+    monkeypatch.setattr(invariants, "invariant_subspace", drop_first)
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["oracle_consistent"] is False
+    bad = [(r["claim"], r["note"]) for r in payload["rows"] if not r["oracle_ok"]]
+    assert bad == [
+        ("dim Z^2(h_2, triv)^sl2", "INTERNAL: oracle got 3, sparse path 2"),
+        ("dim B^2(h_2, triv)^sl2", "INTERNAL: oracle got 1, sparse path 0"),
+        ("dim Z^2(h_2, sch_2)^sl2", "INTERNAL: oracle got 4, sparse path 3"),
+    ]
+
+
+def test_verify_paper_payload_pinned(capsys):
+    # the claim table, every row, note and count, byte for byte; elapsed
+    # is outside the payload
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "4")
+    assert code == 0
+    digest = hashlib.sha256(json.dumps(data["payload"], sort_keys=True).encode()).hexdigest()
+    assert digest == "a173bcc5516d58daccde8e63020f51f851460e0f8883f388dcb8143151e572cc"
+
+
+def test_levi_without_a_diagonal_element(capsys, tmp_path):
+    # sch_2 on the levi basis (e+f, e-f, h+e): no levi basis element acts
+    # diagonally, so every levi weight is 0 and nothing is dropped
+    g = catalog.schrodinger(2)
+    basis = [[1, 1, 0], [1, -1, 0], [1, 0, 1]]
+    basis = [row + [0] * 5 for row in basis] + [
+        [0] * 3 + [int(i == j) for j in range(5)] for i in range(5)]
+
+    def coords(v):
+        # v = a e + b f + c h + ... in the new basis
+        a, b, c = v[:3]
+        return [(a + b - c) / 2, (a - b - c) / 2, c, *v[3:]]
+
+    structure = {}
+    for i, j in combinations(range(g.dim), 2):
+        comps = {k: x for k, x in enumerate(coords(dense_bracket(g, basis[i], basis[j])))
+                 if x}
+        if comps:
+            structure[i, j] = comps
+    skew = LieAlgebra(["e+f", "e-f", "h+e", *g.labels[3:]], structure, name="sch_2-skew")
+    assert skew.validate() is None
+    path = tmp_path / "skew.json"
+    path.write_text(catalog.serialize(skew), encoding="utf-8")
+    for algebra, x in ((skew, None), (g, 2)):
+        setup = InvariantSetup(algebra, (0, 1, 2), range(3, 8), adjoint_rep(algebra))
+        assert _levi_grading(setup)[0] == x
+    for coeff in ("trivial", "adjoint"):
+        for p in range(4):
+            code, data, _ = run_json(
+                capsys, "invariant-cohomology", "--ambient", f"file:{path}",
+                "--levi", "indices:0,1,2", "--radical", "indices:3,4,5,6,7",
+                "--coeff", coeff, "--degree", str(p))
+            assert code == 0
+            _, ref, _ = run_json(capsys, "invariant-cohomology", "--ambient", "schrodinger:2",
+                                 "--coeff", coeff, "--degree", str(p))
+            assert data["payload"] == ref["payload"], (coeff, p)
+
+
+def test_permuted_invariant_outputs_pinned(capsys, tmp_path):
+    # the permuted sch_4 of the benchmark's adjoint-reps workload at seed 1,
+    # its split given by indices: every payload with representatives, byte
+    # for byte
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path, data = workloads._write_algebra(tmp_path, 4, 1, "adjoint-reps")
+    perm = workloads.basis_permutation(12, 1, "adjoint-reps:4")
+    levi, radical = sorted(perm[:3]), sorted(perm[3:])
+    g = LieAlgebra.from_json_dict(data)
+    assert _levi_grading(InvariantSetup(g, levi, radical, adjoint_rep(g)))[0] == perm[2]
+    outputs = []
+    for coeff in ("trivial", "adjoint"):
+        for p in range(4):
+            outputs.append(run_json(
+                capsys, "invariant-cohomology", "--ambient", path,
+                "--levi", "indices:" + ",".join(map(str, levi)),
+                "--radical", "indices:" + ",".join(map(str, radical)),
+                "--coeff", coeff, "--degree", str(p), "--representatives")[:2])
+    outputs = [[code, data["payload"]] for code, data in outputs]
+    digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
+    assert digest == "daff44fa54fbc1ffcea1a7ca3c0e97b4822a99b6b5243ded04821773bbe441b0"
 
 
 def test_selftest(capsys):

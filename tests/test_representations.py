@@ -43,7 +43,7 @@ def test_action_is_linear(u, v):
     rep = adjoint_rep(catalog.schrodinger(2))
     combo = [3 * a - 2 * b for a, b in zip(u, v)]
     lhs = rep.action(combo)
-    rhs = rep.action(u).scale(3) - rep.action(v).scale(2)
+    rhs = rep.action(u).scale(3) + rep.action(v).scale(-2)
     assert lhs == rhs
 
 
