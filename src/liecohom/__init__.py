@@ -9,7 +9,7 @@ dimension cross-check.
 
 __version__ = "0.1.0"
 
-from .exact_linalg import Rational, SparseMatrix, Subspace, kernel_basis, rank_dense
+from .exact_linalg import SparseMatrix, Subspace, kernel_basis, rank_dense
 from .lie_core import LieAlgebra, JacobiViolation, NotAnIdeal, NotASubalgebra
 from .representations import Representation, trivial_rep, adjoint_rep
 from .cochain import CochainSpace, CohomologyResult, cohomology, differential
@@ -17,7 +17,6 @@ from .invariants import InvariantSetup, invariant_cohomology
 from .factorization import ExtensionInput, NotACocycle, central_extension, hs_crosscheck
 
 __all__ = [
-    "Rational",
     "SparseMatrix",
     "Subspace",
     "kernel_basis",

@@ -325,22 +325,11 @@ def _acyclic_rank(k: int, grading) -> int:
     return rank
 
 
-def _cocycle_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:
-    key = ("Z", n)
-    if key not in M._dcache:
-        M._dcache[key] = kernel_basis(differential(r, M, n))
-    return M._dcache[key]
-
-
 def _coboundary_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:
     """Image of d_{n-1} inside C^n; the zero space when n = 0."""
-    key = ("B", n)
-    if key not in M._dcache:
-        if n == 0:
-            M._dcache[key] = Subspace.zero(cochain_dim(r, M, 0))
-        else:
-            M._dcache[key] = column_space(differential(r, M, n - 1))
-    return M._dcache[key]
+    if n == 0:
+        return Subspace.zero(cochain_dim(r, M, 0))
+    return column_space(differential(r, M, n - 1))
 
 
 def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
@@ -432,7 +421,7 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     def representatives():
         # the kernel first: its elimination sets the peak memory, which is
         # lower while the coboundary space is not yet held
-        zspace = _cocycle_space(r, M, n)
+        zspace = kernel_basis(differential(r, M, n))
         return _extend_echelon(_coboundary_space(r, M, n), zspace, dim_h)
 
     return CohomologyResult(

@@ -38,8 +38,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 # the largest decimal exponent rat accepts: Fraction expands "1e30000000"
 # into a 30-million-digit integer before anything can refuse it
 _MAX_EXPONENT = 100
@@ -105,8 +103,6 @@ class SparseMatrix:
     >>> m = SparseMatrix(2, 2, {(0, 0): rat(1), (1, 1): rat(2)})
     >>> m.rank()
     2
-    >>> m.entry(0, 1)
-    Fraction(0, 1)
     >>> SparseMatrix(1, 4, {(0, 0): 3, (0, 1): "1/2", (0, 2): Fraction(0),
     ...                     (0, 3): Fraction(-2, 3)}).entries
     {(0, 0): Fraction(3, 1), (0, 1): Fraction(1, 2), (0, 3): Fraction(-2, 3)}
@@ -205,16 +201,6 @@ class SparseMatrix:
     @property
     def nnz(self) -> int:
         return sum(map(len, self._rows.values()))
-
-    def entry(self, r: int, c: int) -> Fraction:
-        v = self._rows.get(r, {}).get(c)
-        return Fraction(0) if v is None else Fraction(v, self._dens.get(r, 1))
-
-    def to_rows(self) -> list:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def transpose(self) -> "SparseMatrix":
         # column c of self, as a row, takes the lcm of its rows' denominators
@@ -376,7 +362,9 @@ def rank_dense(m: SparseMatrix) -> int:
     >>> rank_dense(SparseMatrix.from_rows([[1, 2], [2, 4]]))
     1
     """
-    rows = m.to_rows()
+    rows = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
     nrows, ncols = m.rows, m.cols
     rank = 0
     for c in range(ncols):
@@ -707,8 +695,8 @@ def stacked(blocks, cols: int) -> SparseMatrix:
 def column_slice(m: SparseMatrix, cols: Sequence[int]) -> SparseMatrix:
     """The columns cols of m, in that order, as columns 0, 1, ...
 
-    >>> column_slice(SparseMatrix.from_rows([[1, 2, 3]]), [2, 0]).to_rows()
-    [[Fraction(3, 1), Fraction(1, 1)]]
+    >>> sorted(column_slice(SparseMatrix.from_rows([[1, 2, 3]]), [2, 0]).entries.items())
+    [((0, 0), Fraction(3, 1)), ((0, 1), Fraction(1, 1))]
     """
     place = {c: i for i, c in enumerate(cols)}
     rows, dens = {}, {}

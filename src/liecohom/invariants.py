@@ -6,7 +6,8 @@ cochain on r by
   (v . w)(e_1,...,e_n) = v . w(e_1,...,e_n) - sum_i w(e_1,...,[v,e_i],...,e_n)
 
 and the invariant cohomology here is (Z^n cap Inv) / (B^n cap Inv),
-where Inv is the common kernel of these transforms over a basis of s.
+where Inv is the common kernel of these transforms over the levi basis
+elements, each given by its ambient basis index.
 The cohomology of the invariant subcomplex (Inv, d restricted) is
 available separately as a consistency check; the two agree when s acts
 completely reducibly.
@@ -21,7 +22,6 @@ columns and the rows of matching weight. Without such an x every weight
 is 0 and nothing is dropped.
 """
 
-from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
@@ -54,14 +54,13 @@ class InvariantSetup:
 
     levi and radical are disjoint tuples of basis indices covering g;
     the levi part must be a subalgebra and the radical part an ideal.
-    graded=False sets every weight of the levi grading to 0.
     """
 
-    __slots__ = ("ambient", "levi", "radical", "module", "graded", "levi_algebra",
+    __slots__ = ("ambient", "levi", "radical", "module", "levi_algebra",
                  "radical_algebra", "radical_module", "_cache")
 
     def __init__(self, ambient: LieAlgebra, levi: Sequence[int],
-                 radical: Sequence[int], module: Representation, graded: bool = True):
+                 radical: Sequence[int], module: Representation):
         if module.algebra is not ambient and module.algebra != ambient:
             raise ValueError("module is not a representation of the ambient algebra")
         levi = tuple(sorted(set(int(i) for i in levi)))
@@ -83,7 +82,6 @@ class InvariantSetup:
         self.levi = levi
         self.radical = radical
         self.module = module
-        self.graded = graded
         self.levi_algebra = subalgebra_on_indices(ambient, levi)
         self.radical_algebra = subalgebra_on_indices(ambient, radical)
         self.radical_module = restrict_to_indices(module, radical)
@@ -93,39 +91,26 @@ class InvariantSetup:
         return CochainSpace(self.radical_algebra, self.radical_module, n)
 
 
-def cochain_action(setup: InvariantSetup, v: Sequence, n: int,
+def cochain_action(setup: InvariantSetup, li: int, n: int,
                    grading=None) -> SparseMatrix:
-    """Matrix of w -> v . w on C^n(r, M) for v given in ambient coordinates,
-    or with a grading (lam, mu) only its rows (J, m) with mu[m] = sum of
-    lam[j] over j in J, as in cochain._assemble.
+    """Matrix of w -> v . w on C^n(r, M) for the ambient basis element v
+    of index li, or with a grading (lam, mu) only its rows (J, m) with
+    mu[m] = sum of lam[j] over j in J, as in cochain._assemble.
 
-    v must be supported on the levi indices. As in cochain.differential,
-    the rows are assembled as integers over one denominator D, the lcm of
-    the denominators of the moved brackets and of the action of v.
+    li must be a levi index. As in cochain.differential, the rows are
+    assembled as integers over one denominator D, the lcm of the
+    denominators of the moved brackets and of the action of v.
     """
+    if li not in setup.levi:
+        raise ValueError(f"basis index {li} is not in the levi part")
     g = setup.ambient
-    if len(v) != g.dim:
-        raise ValueError("element coordinates must have ambient length")
-    v = [Fraction(x) for x in v]
-    levi_set = set(setup.levi)
-    for i, x in enumerate(v):
-        if x and i not in levi_set:
-            raise ValueError("element is not in the levi subalgebra")
     space = setup.cochain_space(n)
     md = setup.module.module_dim
     rad = setup.radical
     rad_pos = {p: a for a, p in enumerate(rad)}
-    # moved[a]: [v, e_a] over the radical basis, nonzero components only
-    moved = []
-    for b in rad:
-        comps: dict = {}
-        for li, x in enumerate(v):
-            if x:
-                for k, c in g.bracket_basis(li, b).items():
-                    kr = rad_pos[k]
-                    comps[kr] = comps.get(kr, Fraction(0)) + x * c
-        moved.append([(kr, c) for kr, c in comps.items() if c])
-    rho = list(setup.module.action(v).integer_rows())
+    # moved[a]: [v, e_a] over the radical basis
+    moved = [[(rad_pos[k], c) for k, c in g.bracket_basis(li, b).items()] for b in rad]
+    rho = list(setup.module.actions[li].integer_rows())
     D = lcm(*[c.denominator for terms in moved for _, c in terms],
             *[den for _, _, den in rho])
     rho_v = [(mr, mc, x * (D // den)) for mr, row, den in rho for mc, x in row.items()]
@@ -165,26 +150,21 @@ def cochain_action(setup: InvariantSetup, v: Sequence, n: int,
                                           dict.fromkeys(rows, D) if D != 1 else None)
 
 
-def _unit(setup: InvariantSetup, li: int) -> list:
-    return [Fraction(int(t == li)) for t in range(setup.ambient.dim)]
-
-
 def generator_actions(setup: InvariantSetup, n: int) -> list:
     """Action matrices of the levi basis generators on C^n(r, M)."""
     key = ("acts", n)
     if key not in setup._cache:
-        setup._cache[key] = [cochain_action(setup, _unit(setup, li), n)
-                             for li in setup.levi]
+        setup._cache[key] = [cochain_action(setup, li, n) for li in setup.levi]
     return setup._cache[key]
 
 
 def _levi_grading(setup: InvariantSetup) -> tuple:
     """(x, lam, mu, weight): the levi element x of _grading_element and
     its weights on the radical basis, on M and on the ambient basis; x is
-    None and every weight 0 without one or when the setup is not graded."""
+    None and every weight 0 without one."""
     if "grading" not in setup._cache:
         g = setup.ambient
-        found = setup.graded and _grading_element(g, setup.module, setup.levi)
+        found = _grading_element(g, setup.module, setup.levi)
         x, lam, mu = found or (None, [0] * g.dim, [0] * setup.module.module_dim)
         setup._cache["grading"] = x, [lam[p] for p in setup.radical], mu, lam
     return setup._cache["grading"]
@@ -213,7 +193,7 @@ def invariant_subspace(setup: InvariantSetup, n: int) -> Subspace:
         md = len(mu)
         zero = [pos * md + m for pos, _, ms, _ in _graded_rows((lam, mu), len(lam), md, n, [])
                 for m in ms]
-        acts = [column_slice(cochain_action(setup, _unit(setup, li), n,
+        acts = [column_slice(cochain_action(setup, li, n,
                                             (lam, [w - weight[li] for w in mu])), zero)
                 for li in setup.levi if li != x]
         ker = kernel_basis(stacked(acts, len(zero)))

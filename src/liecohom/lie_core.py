@@ -6,7 +6,6 @@ identity is checked by validate, which reports the first failing triple
 instead of raising.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations

@@ -7,7 +7,6 @@ of Jacobi and the trivial one vacuously.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .exact_linalg import SparseMatrix
@@ -41,21 +40,6 @@ class Representation:
         self.module_dim = module_dim
         self.actions = actions
         self._dcache: dict = {}
-
-    def action(self, v: Sequence) -> SparseMatrix:
-        """Action matrix of an arbitrary algebra element given by coordinates."""
-        if len(v) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-        out = SparseMatrix.zero(self.module_dim, self.module_dim)
-        for i, x in enumerate(v):
-            x = Fraction(x)
-            if x:
-                out = out + self.actions[i].scale(x)
-        return out
-
-    def apply(self, i: int, m: Sequence) -> tuple:
-        """b_i . m for a module coordinate vector m."""
-        return self.actions[i].apply(m)
 
     def __eq__(self, other) -> bool:
         return (
@@ -105,8 +89,6 @@ def restrict_to_indices(rep: Representation, indices: Sequence[int]) -> Represen
     """Representation of the subalgebra on the listed basis indices,
     acting on the same module space."""
     indices = tuple(sorted(set(int(i) for i in indices)))
-    if indices == tuple(range(rep.algebra.dim)):
-        return rep
     sub = subalgebra_on_indices(rep.algebra, indices)
     return Representation(
         sub, [rep.actions[i] for i in indices], module_dim=rep.module_dim

@@ -82,7 +82,6 @@ def test_usage_errors_exit_1(capsys):
         ("invariant-cohomology", "--ambient", "schrodinger:2", "--coeff",
          "adjoint", "--degree", "-1"),
         ("hs-check", "--ambient", "schrodinger:2", "--degree", "-1"),
-        ("hs-check", "--ambient", "schrodinger:2", "--degree", "4"),
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
@@ -154,6 +153,17 @@ def test_invariant_cohomology_example(capsys):
     assert payload["dim_cocycles"] == 4
     assert payload["dim_coboundaries"] == 3
     assert payload["consistent"] is True
+    # an empty levi part: every cochain is invariant, and the payload is
+    # that of cohomology on the whole algebra
+    code, data, _ = run_json(
+        capsys, "invariant-cohomology", "--ambient", "schrodinger:2", "--levi",
+        "indices:", "--radical", "indices:0,1,2,3,4,5,6,7", "--coeff", "adjoint",
+        "--degree", "2", "--representatives")
+    assert code == 0
+    _, ref, _ = run_json(capsys, "cohomology", "schrodinger:2", "--coeff", "adjoint",
+                         "--degree", "2", "--representatives")
+    assert {k: data["payload"][k] for k in ref["payload"]} == ref["payload"]
+    assert data["payload"]["consistent"] is True
 
 
 def test_hs_check_example(capsys):
@@ -165,6 +175,12 @@ def test_hs_check_example(capsys):
     assert payload["direct"] == 0
     assert payload["factorized"] == 0
     assert payload["agree"] is True
+    # an empty levi part: both sides are dim H^2(sch_2, sch_2)
+    code, data, _ = run_json(
+        capsys, "hs-check", "--ambient", "schrodinger:2", "--levi", "indices:",
+        "--radical", "indices:0,1,2,3,4,5,6,7", "--degree", "2")
+    assert code == 0
+    assert data["payload"]["direct"] == data["payload"]["factorized"] == 1
 
 
 def test_extend_round_trip(capsys):

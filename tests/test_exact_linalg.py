@@ -156,7 +156,8 @@ def integer_minors(draw):
 def test_minor_nonsingular_agrees_with_dense_oracle(case):
     m, positions = case
     n = len(positions)
-    minor = SparseMatrix(n, n, {(i, j): m.entry(r, c) for i, (_, r) in enumerate(positions)
+    ent = m.entries
+    minor = SparseMatrix(n, n, {(i, j): ent.get((r, c), 0) for i, (_, r) in enumerate(positions)
                                 for j, (c, _) in enumerate(positions)})
     assert exact_linalg._minor_nonsingular(m, positions) == (rank_dense(minor) == n)
 
@@ -268,7 +269,8 @@ def test_one_elimination_serves_rank_kernel_and_certificate(monkeypatch):
 
 
 def _dense(m):
-    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    ent = m.entries
+    return [[ent.get((r, c), Fraction(0)) for c in range(m.cols)] for r in range(m.rows)]
 
 
 @st.composite

@@ -6,7 +6,6 @@ import pytest
 from liecohom import catalog
 from liecohom.cochain import CochainSpace, cochain_dim, cohomology, differential
 from liecohom.factorization import (
-    HS_DEGREE_CAP,
     ExtensionInput,
     NotACocycle,
     central_extension,
@@ -136,10 +135,7 @@ def test_extension_validates_iff_cocycle_randomized(sl2, h1):
 
 
 def test_degree_cap():
-    assert HS_DEGREE_CAP == 3
     setup = trivial_setup(catalog.schrodinger(2))
-    with pytest.raises(ValueError):
-        hs_factorized_dim(setup, 4)
     with pytest.raises(ValueError):
         hs_factorized_dim(setup, -1)
 
@@ -171,6 +167,15 @@ def test_hs_first_degree_matches_outer_derivations(sch2):
 def test_hs_degree_three(sch2):
     out = hs_crosscheck(trivial_setup(sch2), 3)
     assert out["agree"], out
+
+
+def test_hs_degrees_four_and_five(sch2, g2):
+    # the factorization holds in every degree, not only up to 3
+    for g in (sch2, g2):
+        for setup in (adjoint_setup(g), trivial_setup(g)):
+            for p in (4, 5):
+                out = hs_crosscheck(setup, p)
+                assert out["agree"], (g.name, p, out)
 
 
 def test_hs_factorized_dim_keeps_one_levi_module_per_setup(monkeypatch, sch2):

@@ -1,11 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from liecohom import catalog
 from liecohom.exact_linalg import Subspace
+from liecohom.lie_core import subalgebra_on_indices
 from liecohom.representations import (
     Representation,
     adjoint_rep,
@@ -13,8 +11,6 @@ from liecohom.representations import (
     trivial_rep,
     validate_rep,
 )
-
-coords8 = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
 
 
 def test_catalog_reps_validate(sl2, sch2, g2, h2):
@@ -27,7 +23,7 @@ def test_trivial_rep_is_zero(sl2):
     rep = trivial_rep(sl2, 4)
     assert rep.module_dim == 4
     assert all(a.is_zero() for a in rep.actions)
-    assert rep.apply(0, (1, 2, 3, 4)) == (0, 0, 0, 0)
+    assert rep.actions[0].apply((1, 2, 3, 4)) == (0, 0, 0, 0)
 
 
 def test_adjoint_is_bracket(sch2):
@@ -35,16 +31,7 @@ def test_adjoint_is_bracket(sch2):
     u = tuple(range(1, 9))
     for i in range(sch2.dim):
         ei = tuple(Fraction(int(t == i)) for t in range(8))
-        assert rep.apply(i, u) == sch2.bracket(ei, u)
-
-
-@given(coords8, coords8)
-def test_action_is_linear(u, v):
-    rep = adjoint_rep(catalog.schrodinger(2))
-    combo = [3 * a - 2 * b for a, b in zip(u, v)]
-    lhs = rep.action(combo)
-    rhs = rep.action(u).scale(3) + rep.action(v).scale(-2)
-    assert lhs == rhs
+        assert rep.actions[i].apply(u) == sch2.bracket(ei, u)
 
 
 def test_validate_rep_catches_swap(sl2):
@@ -59,7 +46,7 @@ def test_validate_rep_catches_swap(sl2):
 def test_h_eigenvalues_on_adjoint(sch2):
     rep = adjoint_rep(sch2)
     h_action = rep.actions[2]
-    diag = [h_action.entry(i, i) for i in range(8)]
+    diag = [h_action.entries.get((i, i), 0) for i in range(8)]
     assert diag == [2, -2, 0, 1, 1, -1, -1, 0]
 
 
@@ -70,7 +57,8 @@ def test_restrict_to_subalgebra(sch2):
     assert sub.module_dim == 8
     assert validate_rep(sub) is None
     assert sub.actions[0] == rep.actions[3]
-    assert restrict_to_indices(rep, range(8)) is rep
+    # every index: the module of the subalgebra on them, not the module itself
+    assert restrict_to_indices(rep, range(8)).algebra == subalgebra_on_indices(sch2, range(8))
     assert restrict_to_indices(rep, (2, 0, 1)).algebra.labels == ("e", "f", "h")
 
 
