@@ -13,6 +13,7 @@ are memoised on their matrices by exact_linalg.certified_rank, not here.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -659,6 +660,7 @@ def cmd_selftest(args) -> tuple:
 # ------------------------------------------------------------------ main
 
 
+@functools.cache  # built on the first main call, then reused by every later one
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="liecohom",

@@ -8,7 +8,6 @@ instead of raising.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import lcm
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -152,24 +151,35 @@ class LieAlgebra:
     def validate(self) -> Optional[JacobiViolation]:
         """None when Jacobi holds on all basis triples, else the first failure.
 
-        Triples run in lexicographic order; the residual is the dense tuple
-        of [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], read off
-        the stored brackets without copying them.
+        The residual of i < j < k is the dense tuple of [[b_i, b_j], b_k] +
+        [[b_j, b_k], b_i] + [[b_k, b_i], b_j]. Only triples reached through
+        nonzero brackets can fail, so the check makes one pass over each
+        stored [b_p, b_q] and each nonzero [b_m, b_o] with m a component of
+        it, summing every residual at once, so the cost follows the nonzero
+        brackets, not the C(dim, 3) triples. The failure reported is the
+        lexicographically smallest failing triple.
         """
-        structure, none = self.structure, {}
-        for i, j, k in combinations(range(self.dim), 3):
-            res: dict = {}
-            # [b_k, b_i] = -[b_i, b_k]; [b_m, b_o] = -[b_o, b_m] when m > o
-            for p, q, o, negate in ((i, j, k, False), (j, k, i, False), (i, k, j, True)):
-                for m, c in structure.get((p, q), none).items():
-                    if negate != (m > o):
-                        c = -c
-                    for t, d in structure.get((m, o) if m < o else (o, m), none).items():
-                        res[t] = res.get(t, 0) + c * d
-            if any(res.values()):
-                return JacobiViolation(
-                    (i, j, k), tuple(res.get(t, Fraction(0)) for t in range(self.dim)))
-        return None
+        nbr: dict = {}  # m -> [(o, [b_m, b_o] read off the stored bracket, sign)]
+        for (a, b), comps in self.structure.items():
+            nbr.setdefault(a, []).append((b, comps, 1))
+            nbr.setdefault(b, []).append((a, comps, -1))
+        residuals: dict = {}
+        for (p, q), comps in self.structure.items():
+            for m, c in comps.items():
+                for o, br, sign in nbr.get(m, ()):
+                    if o == p or o == q:
+                        continue
+                    # (p, q) is the pair (i, k) of the triple exactly when
+                    # p < o < q, and that term is [[b_k, b_i], b_j]
+                    s = -c * sign if p < o < q else c * sign
+                    res = residuals.setdefault(tuple(sorted((p, q, o))), {})
+                    for t, d in br.items():
+                        res[t] = res.get(t, 0) + s * d
+        bad = min((t for t, res in residuals.items() if any(res.values())), default=None)
+        if bad is None:
+            return None
+        res = residuals[bad]
+        return JacobiViolation(bad, tuple(res.get(t, Fraction(0)) for t in range(self.dim)))
 
     def to_json_dict(self) -> dict:
         brackets = []

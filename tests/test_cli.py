@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -447,6 +448,26 @@ def test_every_command_reports_in_one_envelope(capsys):
         assert code == 0, command
         assert set(data) == {"command", "algebra", "payload", "elapsed"}, command
         assert data["command"] == command
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    assert _build_parser() is _build_parser()
+    argv = ("cohomology", "schrodinger:2", "--coeff", "adjoint", "--degree", "2",
+            "--representatives", "--format", "json")
+    code, first, _ = run(capsys, *argv)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "sl2"])  # missing required --coeff
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: liecohom cohomology")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "verify-paper" in capsys.readouterr().out
+    code, again, _ = run(capsys, *argv)
+    assert code == 0
+    elapsed = re.compile(r'"elapsed": "[0-9.]+s"')
+    assert elapsed.subn("", again) == elapsed.subn("", first)
 
 
 def test_errors_print_one_line_and_no_report(capsys, tmp_path):

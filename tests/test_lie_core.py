@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,32 @@ def test_validate_matches_naive_jacobi(spec, changes):
     else:
         assert (violation.triple, violation.residual) == expected
         assert all(type(x) is Fraction for x in violation.residual)
+
+
+def test_validate_signs_the_term_whose_third_index_is_inside_the_pair():
+    # [b_0, b_2] = b_3 and [b_1, b_3] = b_3: at (0,1,2) the only nonzero term
+    # is [[b_2, b_0], b_1], whose third index lies between the pair's
+    bad = LieAlgebra("abcd", {(0, 2): {3: 1}, (1, 3): {3: 1}})
+    violation = bad.validate()
+    assert (violation.triple, violation.residual) == ((0, 1, 2), (0, 0, 0, 1))
+    assert naive_jacobi(bad) == ((0, 1, 2), (0, 0, 0, 1))
+
+
+def test_validate_reports_the_smallest_of_several_failing_triples():
+    # the same defect on b_4..b_7 (stored first) and on b_0..b_3
+    late = {(4, 6): {7: 1}, (5, 7): {7: 1}}
+    assert LieAlgebra("abcdefgh", late).validate().triple == (4, 5, 6)
+    bad = LieAlgebra("abcdefgh", {**late, (0, 2): {3: 1}, (1, 3): {3: 1}})
+    violation = bad.validate()
+    assert violation.triple == (0, 1, 2)
+    assert (violation.triple, violation.residual) == naive_jacobi(bad)
+
+
+def test_validate_cost_follows_the_brackets_not_the_dimension():
+    g = LieAlgebra([f"a{i}" for i in range(400)], {})  # C(400, 3) = 10.6M triples
+    started = time.perf_counter()
+    assert g.validate() is None
+    assert time.perf_counter() - started < 5
 
 
 def test_structure_validation_errors():
@@ -248,6 +275,26 @@ def test_semidirect_rejects_non_homomorphism(sl2):
     with pytest.raises(ActionNotHomomorphism) as exc:
         semidirect(sl2, catalog.abelian(2), [eye, eye, eye])
     assert exc.value.witness == (0, 1)
+
+
+def test_semidirect_classifies_perturbed_schrodinger_actions(sl2):
+    from liecohom.catalog import _schrodinger_action
+
+    e, f, h = _schrodinger_action(2)
+    h2 = catalog.heisenberg(2)
+    e_to_z = SparseMatrix(5, 5, {**e.entries, (4, 0): Fraction(1)})  # e.x1 gains z
+    twice_h = SparseMatrix(5, 5, {k: 2 * v for k, v in h.entries.items()})
+    for action, witness in (([e_to_z, f, h], (0, 2)), ([e, f, twice_h], (0, 1))):
+        with pytest.raises(ActionNotHomomorphism) as exc:
+            semidirect(sl2, h2, action)
+        assert exc.value.witness == witness
+    # the defining representation on span(x1, z) respects the bracket of
+    # sl2 but is no derivation: e.z = x1 while [e.x1, y1] + [x1, e.y1] = 0
+    on_x1_z = [SparseMatrix(5, 5, {(0, 4): 1}), SparseMatrix(5, 5, {(4, 0): 1}),
+               SparseMatrix(5, 5, {(0, 0): 1, (4, 4): -1})]
+    with pytest.raises(ActionNotDerivation) as exc:
+        semidirect(sl2, h2, on_x1_z)
+    assert exc.value.witness == (0, (0, 2))
 
 
 def test_semidirect_reports_a_non_lie_part_as_plain_value_error():
