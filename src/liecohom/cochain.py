@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, lcm
 from typing import Callable, Sequence
 
@@ -172,16 +172,24 @@ def differential(r: LieAlgebra, M: Representation, n: int) -> SparseMatrix:
     return cached
 
 
-def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseMatrix:
+def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None,
+              contract=False) -> SparseMatrix:
     """d_n, or with a grading (lam, mu) from _grading only its rows (J, m)
     of weight zero, mu[m] = sum of lam[j] over j in J, in d_n's shape.
+
+    With contract, i_0 d_n, square on the cochains of span(e_1, ...): the
+    rows (0,) + T of d_n on the columns without 0. When that span is an
+    ideal, only e_0's action and brackets reach them, and this is e_0's
+    action L_0 w = i_0 d w (Cartan's formula, as i_0 w = 0).
 
     Assembled as integer rows over one denominator D, the lcm of the
     denominators of the structure constants and of the action rows: every
     term is an int, and only an entry hit twice is added.
     """
     md = M.module_dim
-    idx_in = {t: a for a, t in enumerate(combinations(range(r.dim), n))}
+    idx_in = {t: a for a, t in enumerate(combinations(range(int(contract), r.dim), n))}
+    # the positions i of J whose terms are assembled
+    heads = range(1 if contract else n + 1)
     actions = [list(a.integer_rows()) for a in M.actions]
     D = lcm(*[c.denominator for comps in r.structure.values() for c in comps.values()],
             *[den for rows in actions for _, _, den in rows])
@@ -192,21 +200,22 @@ def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseM
     acts += [[(mr, mc, -v) for mr, mc, v in terms] for terms in acts]
     structure = {key: {k: c.numerator * (D // c.denominator) for k, c in comps.items()}
                  for key, comps in r.structure.items()}
-    cols = comb(r.dim, n) * md
+    cols = len(idx_in) * md
     # every column index as one shared int object: an index computed anew
     # for each entry would cost an int object per entry
     col_ids = list(range(cols))
     rows: dict = {}
-    for out_pos, J, ms, kept_acts in _graded_rows(grading, r.dim, md, n + 1, acts):
+    for out_pos, J, ms, kept_acts in _graded_rows(grading, r.dim, md, n + 1, acts,
+                                                  contract):
         block = [{} for _ in ms]
         # the first entries of each row: one column block per i, no key
         # repeats
-        for i in range(n + 1):
+        for i in heads:
             co = idx_in[J[:i] + J[i + 1:]] * md
             for p, mc, x in kept_acts[J[i] + i % 2 * r.dim]:
                 block[p][col_ids[co + mc]] = x
         cancelled = False
-        for i in range(n + 1):
+        for i in heads:
             for j in range(i + 1, n + 1):
                 comps = structure.get((J[i], J[j]))
                 if comps is None:
@@ -227,14 +236,19 @@ def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None) -> SparseM
                             row[key] = y = y + s
                             if not y:
                                 cancelled = True
-        _keep_block(rows, out_pos * md, zip(ms, block), cancelled)
+        for m, row in zip(ms, block):
+            if cancelled and 0 in row.values():
+                row = {k: v for k, v in row.items() if v}
+            if row:
+                rows[out_pos * md + m] = row
     return SparseMatrix.from_integer_rows(
-        comb(r.dim, n + 1) * md, cols, rows,
+        cols if contract else comb(r.dim, n + 1) * md, cols, rows,
         dict.fromkeys(rows, D) if D != 1 else None)
 
 
-def _graded_rows(grading, dim: int, md: int, k: int, acts: list):
+def _graded_rows(grading, dim: int, md: int, k: int, acts: list, contract=False):
     """(position, J, ms, kept) for each k-tuple J of range(dim), in order,
+    or with contract only those J starting with 0, which come first,
     with rows (J, m) of weight zero under a grading (lam, mu), all rows
     without one: ms lists those m, and kept is acts, lists of (mr, mc, x)
     terms, with each mr in ms replaced by its position there."""
@@ -246,21 +260,11 @@ def _graded_rows(grading, dim: int, md: int, k: int, acts: list):
         place = {m: p for p, m in enumerate(ms)}
         kept[w] = ms, [[(place[mr], mc, x) for mr, mc, x in terms if mr in place]
                        for terms in acts]
+    tuples = islice(combinations(range(dim), k), comb(dim - 1, k - 1) if contract else None)
     weights = map(sum, combinations(lam, k))
-    for pos, (J, w) in enumerate(zip(combinations(range(dim), k), weights)):
+    for pos, (J, w) in enumerate(zip(tuples, weights)):
         if w in kept:
             yield pos, J, *kept[w]
-
-
-def _keep_block(rows: dict, ro: int, block, cancelled: bool) -> None:
-    """Store the non-empty rows of block, (m, {col: int}) pairs, as rows
-    ro + m in rows; when some sum in the block cancelled, without its
-    zero entries."""
-    for m, row in block:
-        if cancelled and 0 in row.values():
-            row = {k: v for k, v in row.items() if v}
-        if row:
-            rows[ro + m] = row
 
 
 def _grading(r: LieAlgebra, M: Representation):

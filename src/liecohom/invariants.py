@@ -5,7 +5,11 @@ cochain on r by
 
   (v . w)(e_1,...,e_n) = v . w(e_1,...,e_n) - sum_i w(e_1,...,[v,e_i],...,e_n)
 
-and the invariant cohomology here is (Z^n cap Inv) / (B^n cap Inv),
+As r is an ideal, v . w = L_v w = i_v d w for w extended by zero to
+<v> + r (Cartan's formula, as i_v w = 0): the rows (v,) + T of that
+algebra's d_n on the columns without v (cochain._assemble, contract).
+
+The invariant cohomology here is (Z^n cap Inv) / (B^n cap Inv),
 where Inv is the common kernel of these transforms over the levi basis
 elements, each given by its ambient basis index.
 The cohomology of the invariant subcomplex (Inv, d restricted) is
@@ -22,7 +26,6 @@ columns and the rows of matching weight. Without such an x every weight
 is 0 and nothing is dropped.
 """
 
-from math import lcm
 from typing import Sequence
 
 from .exact_linalg import (
@@ -44,7 +47,6 @@ from .cochain import (
     _extend_echelon,
     _graded_rows,
     _grading_element,
-    _keep_block,
     cochain_dim,
 )
 
@@ -94,60 +96,32 @@ class InvariantSetup:
 def cochain_action(setup: InvariantSetup, li: int, n: int,
                    grading=None) -> SparseMatrix:
     """Matrix of w -> v . w on C^n(r, M) for the ambient basis element v
-    of index li, or with a grading (lam, mu) only its rows (J, m) with
-    mu[m] = sum of lam[j] over j in J, as in cochain._assemble.
+    of index li, or with a grading (lam, mu) only its rows (T, m) with
+    mu[m] = sum of lam[t] over t in T, as in cochain._assemble.
 
-    li must be a levi index. As in cochain.differential, the rows are
-    assembled as integers over one denominator D, the lcm of the
-    denominators of the moved brackets and of the action of v.
+    li must be a levi index. The matrix is cochain._assemble's
+    contraction i_v d_n on the algebra <v> + r with v as basis element 0
+    (see the module docstring), whose algebra and module are kept per
+    setup and li.
     """
     if li not in setup.levi:
         raise ValueError(f"basis index {li} is not in the levi part")
-    g = setup.ambient
-    space = setup.cochain_space(n)
-    md = setup.module.module_dim
-    rad = setup.radical
-    rad_pos = {p: a for a, p in enumerate(rad)}
-    # moved[a]: [v, e_a] over the radical basis
-    moved = [[(rad_pos[k], c) for k, c in g.bracket_basis(li, b).items()] for b in rad]
-    rho = list(setup.module.actions[li].integer_rows())
-    D = lcm(*[c.denominator for terms in moved for _, c in terms],
-            *[den for _, _, den in rho])
-    rho_v = [(mr, mc, x * (D // den)) for mr, row, den in rho for mc, x in row.items()]
-    # moved[a] as (k, -c, c) times D: the entry of a slot in even and in odd
-    # position
-    moved = [[(kr, -c.numerator * (D // c.denominator), c.numerator * (D // c.denominator))
-              for kr, c in terms] for terms in moved]
-    index = {t: a for a, t in enumerate(space.tuples)}
-    col_ids = list(range(space.dim))  # shared int objects, as in differential
-    rows: dict = {}
-    for tpos, T, ms, (kept_rho,) in _graded_rows(grading, len(rad), md, n, [rho_v]):
-        ro = tpos * md
-        block = [{} for _ in ms]
-        # the first entries of each row: no key repeats
-        for p, mc, x in kept_rho:
-            block[p][col_ids[ro + mc]] = x
-        cancelled = False
-        for i, a in enumerate(T):
-            rest = T[:i] + T[i + 1:]
-            for kr, even, odd in moved[a]:
-                if kr in rest:
-                    continue
-                pos = sum(1 for t in rest if t < kr)
-                x = odd if (i + pos) % 2 else even
-                co = index[tuple(sorted(rest + (kr,)))] * md
-                for m, row in zip(ms, block):
-                    key = col_ids[co + m]
-                    y = row.get(key)
-                    if y is None:
-                        row[key] = x
-                    else:
-                        row[key] = y = y + x
-                        if not y:
-                            cancelled = True
-        _keep_block(rows, ro, zip(ms, block), cancelled)
-    return SparseMatrix.from_integer_rows(space.dim, space.dim, rows,
-                                          dict.fromkeys(rows, D) if D != 1 else None)
+    key = ("extended", li)
+    if key not in setup._cache:
+        r = setup.radical_algebra
+        pos = {p: a + 1 for a, p in enumerate(setup.radical)}
+        structure = {(a + 1, b + 1): {k + 1: c for k, c in comps.items()}
+                     for (a, b), comps in r.structure.items()}
+        for p, a in pos.items():
+            structure[(0, a)] = {pos[k]: c for k, c in
+                                 setup.ambient.bracket_basis(li, p).items()}
+        vr = LieAlgebra((setup.ambient.labels[li],) + r.labels, structure)
+        setup._cache[key] = vr, Representation(
+            vr, (setup.module.actions[li],) + setup.radical_module.actions,
+            setup.module.module_dim)
+    if grading is not None:  # v of weight 0: the rows (0,) + T keep their weight
+        grading = [0] + list(grading[0]), grading[1]
+    return _assemble(*setup._cache[key], n, grading, contract=True)
 
 
 def generator_actions(setup: InvariantSetup, n: int) -> list:

@@ -18,7 +18,6 @@ from .exact_linalg import (
     kernel_basis,
     rat,
     rat_str,
-    stacked,
 )
 
 
@@ -237,8 +236,14 @@ class LieAlgebra:
 
 
 def center(g: LieAlgebra) -> Subspace:
-    """{v : [b_i, v] = 0 for all i}, the kernel of the stacked ad matrices."""
-    return kernel_basis(stacked([g.ad_matrix(i) for i in range(g.dim)], g.dim))
+    """{v : [b_i, v] = 0 for all i}, the kernel of the stacked ad matrices,
+    read off the stored brackets: row i * dim + k, column j is [b_i, b_j]_k."""
+    ent = {}
+    for (i, j), comps in g.structure.items():
+        for k, c in comps.items():
+            ent[(i * g.dim + k, j)] = c
+            ent[(j * g.dim + k, i)] = -c
+    return kernel_basis(SparseMatrix(g.dim * g.dim, g.dim, ent))
 
 
 def _leibniz_system(g: LieAlgebra) -> SparseMatrix:

@@ -47,6 +47,25 @@ def test_info_catalog(capsys):
     assert data["payload"]["center_dim"] == 4
 
 
+def test_info_file_validates_once(capsys, tmp_path, monkeypatch):
+    # parsing the file checks Jacobi; info itself does not check it again
+    path = tmp_path / "sch2.json"
+    path.write_text(catalog.serialize(catalog.schrodinger(2)))
+    calls = []
+    validate = LieAlgebra.validate
+
+    def counted(g):
+        calls.append(g.name)
+        return validate(g)
+
+    monkeypatch.setattr(LieAlgebra, "validate", counted)
+    code, data, _ = run_json(capsys, "info", f"file:{path}")
+    assert code == 0
+    assert data["payload"]["valid"] is True
+    assert data["payload"]["center_dim"] == 1
+    assert calls == ["schrodinger:2"]
+
+
 def test_info_bad_file_exits_2(capsys, tmp_path):
     g = catalog.sl2()
     data = g.to_json_dict()

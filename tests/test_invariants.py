@@ -14,7 +14,7 @@ from liecohom.invariants import (
 )
 from liecohom.representations import adjoint_rep, trivial_rep
 
-from oracles import naive_cochain_action_apply, rescale_basis
+from oracles import naive_cochain_action_apply, permute_algebra, rescale_basis
 
 
 def test_setup_validation(sch2):
@@ -48,9 +48,15 @@ def test_cochain_action_matches_naive_oracle(sch2_adj_setup, sch2_triv_setup, rn
     # x_1 rescaled by 2/3: structure constants and actions 2/3 and 3/2
     scaled = rescale_basis(catalog.schrodinger(2), 3, Fraction(2, 3))
     split = catalog.canonical_split(scaled)
+    # e, f, h at indices 1, 5, 7, between radical ones: the sign of each
+    # moved slot does not depend on where v sits in the ambient basis
+    permuted = permute_algebra(catalog.schrodinger(2), [1, 5, 7, 0, 2, 3, 4, 6])
+    interleaved = (1, 5, 7), (0, 2, 3, 4, 6)
     setups = (sch2_adj_setup, sch2_triv_setup,
               InvariantSetup(scaled, *split, adjoint_rep(scaled)),
-              InvariantSetup(scaled, *split, trivial_rep(scaled, 1)))
+              InvariantSetup(scaled, *split, trivial_rep(scaled, 1)),
+              InvariantSetup(permuted, *interleaved, adjoint_rep(permuted)),
+              InvariantSetup(permuted, *interleaved, trivial_rep(permuted, 1)))
     for setup in setups:
         for n in (1, 2, 3):
             dim = setup.cochain_space(n).dim

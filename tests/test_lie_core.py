@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from liecohom import catalog
 from liecohom.cochain import cohomology, differential
-from liecohom.exact_linalg import SparseMatrix, Subspace, certified_rank
+from liecohom.exact_linalg import (
+    SparseMatrix,
+    Subspace,
+    certified_rank,
+    kernel_basis,
+    stacked,
+)
 from liecohom.lie_core import (
     ActionNotDerivation,
     ActionNotHomomorphism,
@@ -334,3 +340,25 @@ def test_from_json_rejects_malformed():
         LieAlgebra.from_json_dict(
             dict(base, brackets=[{"left": 0, "right": 1, "result": [[2, "1/0"]]}])
         )
+
+
+def test_center_reads_the_stored_brackets(monkeypatch):
+    # the center's system comes from the stored brackets, not from dim^2
+    # bracket_basis calls through ad_matrix (90,000 at 300 labels)
+    catalog_algebras = [catalog.sl2(), catalog.heisenberg(2), catalog.schrodinger(3),
+                        catalog.schrodinger_mod_center(3), catalog.abelian(3)]
+    calls = []
+    bracket_basis = LieAlgebra.bracket_basis
+
+    def counted(g, i, j):
+        calls.append((i, j))
+        return bracket_basis(g, i, j)
+
+    monkeypatch.setattr(LieAlgebra, "bracket_basis", counted)
+    wide = LieAlgebra([f"a{i}" for i in range(300)], {(0, 1): {2: 1}})
+    assert center(wide).dim == 298
+    assert calls == []
+    for g in catalog_algebras:
+        ad = kernel_basis(stacked([g.ad_matrix(i) for i in range(g.dim)], g.dim))
+        got = center(g)
+        assert (got.rows, got.pivots) == (ad.rows, ad.pivots)
