@@ -10,7 +10,6 @@ reproducible against these exact orders.
 
 import json
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .exact_linalg import SparseMatrix
 from .lie_core import LieAlgebra, center, quotient, semidirect
@@ -147,7 +146,7 @@ def resolve(spec: str) -> LieAlgebra:
     raise ValueError(f"unknown algebra spec {spec!r}")
 
 
-def canonical_split(g: LieAlgebra) -> Optional[Tuple[tuple, tuple]]:
+def canonical_split(g: LieAlgebra) -> tuple[tuple, tuple] | None:
     """Default (levi, radical) index split for catalog algebras that have one.
 
     For the semidirect catalog entries the levi part is the leading

@@ -15,7 +15,6 @@ are memoised on their matrices by exact_linalg.certified_rank, not here.
 import argparse
 import functools
 import json
-import random
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +24,6 @@ from . import catalog
 from .exact_linalg import (
     SparseMatrix,
     certified_rank,
-    column_slice,
     kernel_basis,
     rank_dense,
     stacked,
@@ -47,7 +45,7 @@ from .cochain import (
 )
 from .invariants import (
     InvariantSetup,
-    generator_actions,
+    character_dims,
     invariant_cohomology,
     invariant_subcomplex_cohomology,
     invariant_subspace,
@@ -362,8 +360,10 @@ CLAIMS = (
 # The oracles below recompute each number by a formulation of their own and
 # take every rank from certified_rank, never from SparseMatrix.rank, so a
 # wrong sparse rank shows as a mismatch; certified_rank memoises on the
-# matrix, so a differential shared by rows is certified once. The "dense" in
-# their names is historical; bench/tracer.py targets them by name.
+# matrix, so a differential shared by rows is certified once. The Z and B
+# rows read invariants.character_dims, weight counts and ranks, against the
+# sparse path's kernel of the levi actions. bench/tracer.py targets
+# _dense_h_dim by name, the one "dense" name left.
 #
 # The evaluator calls the oracles, _cocycle_claims, the catalog
 # constructors and the library functions by their global names at call time
@@ -375,29 +375,6 @@ def _dense_h_dim(g: LieAlgebra, rep: Representation, p: int) -> int:
     dz = cochain_dim(g, rep, p) - certified_rank(differential(g, rep, p))
     db = 0 if p == 0 else certified_rank(differential(g, rep, p - 1))
     return dz - db
-
-
-def _dense_z_inv_dim(setup: InvariantSetup, p: int) -> int:
-    """Kernel dimension of the stacked (differential; generator actions)
-    matrix. A diagonal action, if any, goes first: its kernel is spanned by
-    the coordinates where its diagonal is 0, so the other blocks are cut to
-    those columns."""
-    dn = differential(setup.radical_algebra, setup.radical_module, p)
-    acts = generator_actions(setup, p)
-    diag = next((a for a in acts if all(row.keys() == {i} for i, row, _ in a.integer_rows())),
-                SparseMatrix.zero(dn.cols, dn.cols))
-    held = {i for i, _, _ in diag.integer_rows()}
-    cols = [c for c in range(dn.cols) if c not in held]
-    rest = [column_slice(b, cols) for b in (dn, *acts) if b is not diag]
-    return len(cols) - certified_rank(stacked(rest, len(cols)))
-
-
-def _dense_b_inv_dim(setup: InvariantSetup, p: int) -> int:
-    """rank d_{p-1} - rank(A d_{p-1}), A the stacked generator actions on
-    C^p: u -> d u maps ker(A d) onto B cap Inv, with kernel ker d."""
-    dprev = differential(setup.radical_algebra, setup.radical_module, p - 1)
-    acts = stacked(generator_actions(setup, p), dprev.rows)
-    return certified_rank(dprev) - certified_rank(acts @ dprev)
 
 
 def _row(claim: str, stated, computed, status: str, note: str, oracle_ok: bool) -> dict:
@@ -498,12 +475,9 @@ def _algebra_rows(alg: _Algebra, claims: list) -> list:
             dense = g.dim * g.dim - certified_rank(d1)
         else:
             inv = invariant_cohomology(setup(coeff), p)
-            if quantity == "Z":
-                computed = inv.dim_cocycles
-                dense = _dense_z_inv_dim(setup(coeff), p)
-            else:
-                computed = inv.dim_coboundaries
-                dense = _dense_b_inv_dim(setup(coeff), p)
+            _, z, b = character_dims(setup(coeff), p, certified_rank)
+            computed, dense = ((inv.dim_cocycles, z) if quantity == "Z"
+                               else (inv.dim_coboundaries, b))
         if conflict:
             status = "DISCREPANCY"
             note = f"stated values conflict; computation supports {computed}"
@@ -550,7 +524,7 @@ def cmd_verify_paper(args) -> tuple:
 # ------------------------------------------------------------- selftest
 
 
-def _random_sparse(rng: random.Random, rows: int, cols: int) -> SparseMatrix:
+def _random_sparse(rng, rows: int, cols: int) -> SparseMatrix:
     ent = {}
     for r in range(rows):
         for c in range(cols):
@@ -574,7 +548,7 @@ def _permuted(g: LieAlgebra, perm: list) -> LieAlgebra:
     return LieAlgebra(labels, structure, name=g.name)
 
 
-def _random_cochain(rng: random.Random, dim: int) -> tuple:
+def _random_cochain(rng, dim: int) -> tuple:
     return tuple(
         Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0)
         for _ in range(dim)
@@ -586,6 +560,8 @@ def cmd_selftest(args) -> tuple:
                         ("--extension-trials", args.extension_trials)):
         if count < 0:
             raise UsageError(f"{flag} must be nonnegative")
+    import random  # here only: no other command needs it
+
     rng = random.Random(args.seed)
     rank_failures = 0
     for _ in range(args.rank_trials):
@@ -615,7 +591,7 @@ def cmd_selftest(args) -> tuple:
             ext_failures += 1
     # dimensions from weight-zero blocks against those of the full complex,
     # and invariant dimensions from the levi grading against verify-paper's
-    # full-complex oracles, on the basis in a random order
+    # sl2-character oracles, on the basis in a random order
     wz_failures = 0
     for g in (catalog.sl2(), catalog.schrodinger(2), catalog.schrodinger(3),
               catalog.schrodinger_mod_center(2)):
@@ -634,11 +610,9 @@ def cmd_selftest(args) -> tuple:
             s = InvariantSetup(g, levi, radical, _coeff_rep(g, coeff))
             for p in range(4):
                 inv = invariant_cohomology(s, p)
-                cols = s.cochain_space(p).dim
-                full = (cols - certified_rank(stacked(generator_actions(s, p), cols)),
-                        _dense_z_inv_dim(s, p), _dense_b_inv_dim(s, p) if p else 0)
-                wz_failures += (invariant_subspace(s, p).dim, inv.dim_cocycles,
-                                inv.dim_coboundaries) != full
+                wz_failures += ((invariant_subspace(s, p).dim, inv.dim_cocycles,
+                                 inv.dim_coboundaries)
+                                != character_dims(s, p, certified_rank))
     ok = rank_failures == 0 and ext_failures == 0 and wz_failures == 0
     payload = {
         "seed": args.seed,

@@ -27,13 +27,12 @@ holds d_n.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations, islice
 from math import comb, lcm
-from typing import Callable, Sequence
 
 from .exact_linalg import (
     SparseMatrix,
@@ -131,18 +130,24 @@ class CochainSpace:
         return tuple(vec)
 
 
-@dataclass(frozen=True)
 class CohomologyResult:
     """Dimensions of one cohomology group. representatives is computed by
     compute_representatives when first read, so a caller that wants only
-    dimensions does no kernel or echelon work for it."""
+    dimensions does no kernel or echelon work for it. Results compare by
+    their dimensions."""
 
-    degree: int
-    dim_cochain: int
-    dim_cocycles: int
-    dim_coboundaries: int
-    dim_cohomology: int
-    compute_representatives: Callable = field(repr=False, compare=False)
+    def __init__(self, degree: int, dim_cochain: int, dim_cocycles: int,
+                 dim_coboundaries: int, dim_cohomology: int,
+                 compute_representatives: Callable):
+        self.degree = degree
+        self.dim_cochain = dim_cochain
+        self.dim_cocycles = dim_cocycles
+        self.dim_coboundaries = dim_coboundaries
+        self.dim_cohomology = dim_cohomology
+        self.compute_representatives = compute_representatives
+
+    def __eq__(self, other) -> bool:
+        return type(other) is CohomologyResult and self.as_dict() == other.as_dict()
 
     @cached_property
     def representatives(self) -> tuple:
@@ -309,11 +314,9 @@ def _diagonal(a: SparseMatrix):
     return diag
 
 
-def _acyclic_rank(k: int, grading) -> int:
-    """Rank of d_k on the cochains of nonzero weight, mu[m] - sum of
-    lam[j] over j in J. They form an exact complex (see the module
-    docstring), so this is the sum over i <= k of (-1)^(k-i) times the
-    number of i-cochains of nonzero weight."""
+def _cochain_counts(k: int, grading, v: int = 0) -> list:
+    """The number of i-cochains (J, m) of weight v, mu[m] - sum of lam[j]
+    over j in J = v, for i = 0, ..., k."""
     lam, mu = grading
     # subsets[i][w]: the number of i-tuples J with weight sum w
     subsets = [{0: 1}] + [{} for _ in range(k)]
@@ -322,10 +325,18 @@ def _acyclic_rank(k: int, grading) -> int:
             counts = subsets[i]
             for s, count in subsets[i - 1].items():
                 counts[s + w] = counts.get(s + w, 0) + count
+    return [sum(subsets[i].get(m - v, 0) for m in mu) for i in range(k + 1)]
+
+
+def _acyclic_rank(k: int, grading) -> int:
+    """Rank of d_k on the cochains of nonzero weight, mu[m] - sum of
+    lam[j] over j in J. They form an exact complex (see the module
+    docstring), so this is the sum over i <= k of (-1)^(k-i) times the
+    number of i-cochains of nonzero weight."""
+    lam, mu = grading
     rank = 0
-    for i in range(k + 1):
-        nonzero = comb(len(lam), i) * len(mu) - sum(subsets[i].get(w, 0) for w in mu)
-        rank = nonzero - rank
+    for i, zero in enumerate(_cochain_counts(k, grading)):
+        rank = comb(len(lam), i) * len(mu) - zero - rank
     return rank
 
 

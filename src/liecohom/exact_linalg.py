@@ -34,9 +34,9 @@ meet, rank_dense decides.
 """
 
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 # the largest decimal exponent rat accepts: Fraction expands "1e30000000"
 # into a 30-million-digit integer before anything can refuse it
@@ -113,7 +113,7 @@ class SparseMatrix:
 
     __slots__ = ("rows", "cols", "_rows", "_dens", "_elimination", "_rank", "_certified")
 
-    def __init__(self, rows: int, cols: int, entries: Optional[dict] = None):
+    def __init__(self, rows: int, cols: int, entries: dict | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
@@ -132,13 +132,13 @@ class SparseMatrix:
             den = _clear_denominators(row)
             if den != 1:
                 self._dens[r] = den
-        self._elimination: Optional[list] = None
-        self._rank: Optional[int] = None
-        self._certified: Optional[int] = None
+        self._elimination: list | None = None
+        self._rank: int | None = None
+        self._certified: int | None = None
 
     @classmethod
     def from_integer_rows(cls, rows: int, cols: int, int_rows: dict,
-                          dens: Optional[dict] = None) -> "SparseMatrix":
+                          dens: dict | None = None) -> "SparseMatrix":
         """The matrix whose row r is int_rows[r] divided by dens.get(r, 1).
 
         int_rows maps row indices to non-empty {col: nonzero int} dicts and

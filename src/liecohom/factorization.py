@@ -11,14 +11,14 @@ holds in every degree (Hochschild and Serre, Ann. Math. 57, 1953) and is
 checked by computing both sides independently.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .exact_linalg import SparseMatrix
 from .lie_core import JacobiViolation, LieAlgebra
 from .representations import trivial_rep
 from .cochain import cochain_dim, cohomology
-from .invariants import InvariantSetup, invariant_cohomology
+from .invariants import InvariantSetup, character_dims, invariant_cohomology
 
 
 class NotACocycle(ValueError):
@@ -29,19 +29,21 @@ class NotACocycle(ValueError):
         super().__init__(f"extension is not a Lie algebra: {violation}")
 
 
-@dataclass(frozen=True)
 class ExtensionInput:
-    base: LieAlgebra
-    cocycle: tuple
-    k: int = 1
-
-    def __post_init__(self):
-        expected = cochain_dim(self.base, trivial_rep(self.base, self.k), 2)
-        if len(self.cocycle) != expected:
+    def __init__(self, base: LieAlgebra, cocycle: tuple, k: int = 1):
+        expected = cochain_dim(base, trivial_rep(base, k), 2)
+        if len(cocycle) != expected:
             raise ValueError(
                 f"cocycle vector must have {expected} coordinates, "
-                f"got {len(self.cocycle)}"
+                f"got {len(cocycle)}"
             )
+        self.base = base
+        self.cocycle = cocycle
+        self.k = k
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is ExtensionInput
+                and (self.base, self.cocycle, self.k) == (other.base, other.cocycle, other.k))
 
 
 def central_extension(inp: ExtensionInput) -> LieAlgebra:
@@ -77,7 +79,9 @@ def hs_factorized_dim(setup: InvariantSetup, p: int) -> int:
     The levi cohomology is computed, not assumed, so semisimplicity
     enters only through the vanishing it produces. The setup keeps one
     trivial levi module, so its differentials are built and eliminated
-    once per setup.
+    once per setup. For an sl2 levi, dim H^n(r, M)^s is
+    (z_0 - z_w) - (b_0 - b_w) of invariants.character_dims, from ranks
+    alone; for any other levi it is invariant_cohomology's.
     """
     if p < 0:
         raise ValueError("degree must be nonnegative")
@@ -89,7 +93,9 @@ def hs_factorized_dim(setup: InvariantSetup, p: int) -> int:
     for m in range(p + 1):
         left = cohomology(s, triv, m).dim_cohomology
         if left:
-            total += left * invariant_cohomology(setup, p - m).dim_cohomology
+            dims = character_dims(setup, p - m, SparseMatrix.rank)
+            total += left * (dims[1] - dims[2] if dims
+                             else invariant_cohomology(setup, p - m).dim_cohomology)
     return total
 
 

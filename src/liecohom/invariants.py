@@ -24,9 +24,17 @@ and d keeps the weight (Hochschild and Serre, Ann. Math. 57, 1953), so
 Inv, Z^n cap Inv and B^n cap Inv are computed from the weight-zero
 columns and the rows of matching weight. Without such an x every weight
 is 0 and nothing is dropped.
+
+sl2 characters. When the levi part is sl2 with e of x-weight w, a
+finite-dimensional levi module V is a sum of irreducibles, each with an
+invariant exactly when it has weight 0 and none of weight w, so
+dim V^sl2 = dim V_0 - dim V_w (Humphreys, Introduction to Lie Algebras,
+section 7). The levi action commutes with d, so C^n, Z^n and B^n are
+such modules, and character_dims reads their invariant dimensions from
+weight counts and ranks, without any invariant basis.
 """
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .exact_linalg import (
     SparseMatrix,
@@ -44,6 +52,7 @@ from .cochain import (
     CochainSpace,
     CohomologyResult,
     _assemble,
+    _cochain_counts,
     _extend_echelon,
     _graded_rows,
     _grading_element,
@@ -124,14 +133,6 @@ def cochain_action(setup: InvariantSetup, li: int, n: int,
     return _assemble(*setup._cache[key], n, grading, contract=True)
 
 
-def generator_actions(setup: InvariantSetup, n: int) -> list:
-    """Action matrices of the levi basis generators on C^n(r, M)."""
-    key = ("acts", n)
-    if key not in setup._cache:
-        setup._cache[key] = [cochain_action(setup, li, n) for li in setup.levi]
-    return setup._cache[key]
-
-
 def _levi_grading(setup: InvariantSetup) -> tuple:
     """(x, lam, mu, weight): the levi element x of _grading_element and
     its weights on the radical basis, on M and on the ambient basis; x is
@@ -144,14 +145,36 @@ def _levi_grading(setup: InvariantSetup) -> tuple:
     return setup._cache["grading"]
 
 
-def _block(setup: InvariantSetup, k: int) -> SparseMatrix:
-    """The rows of d_k on C^k(r, M) of levi weight zero, kept per setup."""
-    key = ("block", k)
+def _block(setup: InvariantSetup, k: int, v: int = 0) -> SparseMatrix:
+    """The rows of d_k on C^k(r, M) of levi weight v, kept per setup."""
+    key = ("block", k, v)
     if key not in setup._cache:
         _, lam, mu, _ = _levi_grading(setup)
         setup._cache[key] = _assemble(setup.radical_algebra, setup.radical_module,
-                                      k, (lam, mu))
+                                      k, (lam, [m - v for m in mu]))
     return setup._cache[key]
+
+
+def character_dims(setup: InvariantSetup, n: int, rank):
+    """(dim Inv^n, dim Z^n cap Inv, dim B^n cap Inv) = (c_0 - c_w, z_0 - z_w,
+    b_0 - b_w) by sl2 characters (see the module docstring), each rank
+    taken by rank(matrix): c_v counts the n-cochains of weight v,
+    z_v = c_v - rank d_n on them, b_v is the rank of d_{n-1} on the
+    (n-1)-cochains of weight v. None unless the levi part is an sl2
+    triple: the x of _levi_grading and two elements of x-weights w > 0
+    and -w with a nonzero bracket."""
+    x, lam, mu, weight = _levi_grading(setup)
+    pair = [li for li in setup.levi if li != x]
+    if (x is None or len(pair) != 2 or not weight[pair[0]]
+            or weight[pair[0]] + weight[pair[1]]
+            or not setup.ambient.bracket_basis(*pair)):
+        return None
+    dims = []
+    for v in (0, abs(weight[pair[0]])):
+        c = _cochain_counts(n, (lam, mu), v)[n]
+        dims.append((c, c - rank(_block(setup, n, v)),
+                     rank(_block(setup, n - 1, v)) if n else 0))
+    return tuple(at0 - atw for at0, atw in zip(*dims))
 
 
 def invariant_subspace(setup: InvariantSetup, n: int) -> Subspace:

@@ -6,10 +6,9 @@ identity is checked by validate, which reports the first failing triple
 instead of raising.
 """
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional, Sequence, Tuple
 
 from .exact_linalg import (
     SparseMatrix,
@@ -21,12 +20,16 @@ from .exact_linalg import (
 )
 
 
-@dataclass(frozen=True)
 class JacobiViolation:
     """First basis triple (i < j < k) where the Jacobi sum is nonzero."""
 
-    triple: Tuple[int, int, int]
-    residual: tuple
+    def __init__(self, triple: tuple[int, int, int], residual: tuple):
+        self.triple = triple
+        self.residual = residual
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is JacobiViolation
+                and (self.triple, self.residual) == (other.triple, other.residual))
 
     def __str__(self):
         i, j, k = self.triple
@@ -50,7 +53,7 @@ class NotASubalgebra(ValueError):
 
 
 class ActionNotDerivation(Exception):
-    def __init__(self, generator_index: int, pair: Tuple[int, int]):
+    def __init__(self, generator_index: int, pair: tuple[int, int]):
         self.witness = (generator_index, pair)
         super().__init__(
             f"action of generator {generator_index} violates Leibniz on pair {pair}"
@@ -58,7 +61,7 @@ class ActionNotDerivation(Exception):
 
 
 class ActionNotHomomorphism(Exception):
-    def __init__(self, pair: Tuple[int, int]):
+    def __init__(self, pair: tuple[int, int]):
         self.witness = pair
         super().__init__(f"action does not respect the bracket of pair {pair}")
 
@@ -78,8 +81,8 @@ def as_index(x) -> int:
     return int(x)
 
 
-def _clean_structure(dim: int, structure) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
-    clean: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+def _clean_structure(dim: int, structure) -> dict[tuple[int, int], dict[int, Fraction]]:
+    clean: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j), comps in structure.items():
         if not (0 <= i < j < dim):
             raise ValueError(f"structure key ({i},{j}) must satisfy 0 <= i < j < dim")
@@ -113,7 +116,7 @@ class LieAlgebra:
         self.structure = _clean_structure(self.dim, structure)
         self.name = name
 
-    def bracket_basis(self, i: int, j: int) -> Dict[int, Fraction]:
+    def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         """[b_i, b_j] as a sparse coordinate dict, any index order."""
         if i == j:
             return {}
@@ -147,7 +150,7 @@ class LieAlgebra:
                 ent[(k, j)] = c
         return SparseMatrix(self.dim, self.dim, ent)
 
-    def validate(self) -> Optional[JacobiViolation]:
+    def validate(self) -> JacobiViolation | None:
         """None when Jacobi holds on all basis triples, else the first failure.
 
         The residual of i < j < k is the dense tuple of [[b_i, b_j], b_k] +

@@ -6,16 +6,18 @@ checked by validate_rep; the adjoint construction satisfies it because
 of Jacobi and the trivial one vacuously.
 """
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .exact_linalg import SparseMatrix
 from .lie_core import LieAlgebra, subalgebra_on_indices
 
 
-@dataclass(frozen=True)
 class RepViolation:
-    pair: Tuple[int, int]
+    def __init__(self, pair: tuple[int, int]):
+        self.pair = pair
+
+    def __eq__(self, other) -> bool:
+        return type(other) is RepViolation and self.pair == other.pair
 
     def __str__(self):
         i, j = self.pair
@@ -25,7 +27,7 @@ class RepViolation:
 class Representation:
     __slots__ = ("algebra", "module_dim", "actions", "_dcache")
 
-    def __init__(self, algebra: LieAlgebra, actions: Sequence[SparseMatrix], module_dim: Optional[int] = None):
+    def __init__(self, algebra: LieAlgebra, actions: Sequence[SparseMatrix], module_dim: int | None = None):
         actions = tuple(actions)
         if len(actions) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
@@ -71,7 +73,7 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
     return Representation(g, [g.ad_matrix(i) for i in range(g.dim)], module_dim=g.dim)
 
 
-def validate_rep(rep: Representation) -> Optional[RepViolation]:
+def validate_rep(rep: Representation) -> RepViolation | None:
     """None when the module law holds on all basis pairs, else the first failure."""
     g = rep.algebra
     for i in range(g.dim):

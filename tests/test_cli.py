@@ -1,11 +1,12 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import importlib.util
 import io
 import json
 import re
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -15,11 +16,17 @@ from hypothesis import strategies as st
 
 from liecohom import catalog, cli, cochain, exact_linalg, invariants, lie_core
 from liecohom.cli import _build_parser, main
-from liecohom.cochain import CochainSpace, cohomology, differential, is_cocycle
+from liecohom.cochain import (
+    CochainSpace,
+    CohomologyResult,
+    cohomology,
+    differential,
+    is_cocycle,
+)
 from liecohom.exact_linalg import SparseMatrix, Subspace
 from liecohom.invariants import InvariantSetup, _levi_grading
 from liecohom.lie_core import LieAlgebra
-from liecohom.representations import adjoint_rep
+from liecohom.representations import adjoint_rep, trivial_rep
 
 from oracles import dense_bracket
 
@@ -632,14 +639,16 @@ def test_wrong_sparse_rank_trips_its_oracle(capsys, monkeypatch):
 
 
 def test_wrong_invariant_coboundaries_trip_their_oracle(capsys, monkeypatch):
-    # the B oracle is rank d_{p-1} - rank(A d_{p-1}) and reads nothing of the
-    # sparse invariant path, so one coboundary too many must show on every
+    # the B oracle is b_0 - b_w of the sl2 characters and reads nothing of
+    # the sparse invariant path, so one coboundary too many must show on every
     # B row
     invariant_cohomology = cli.invariant_cohomology
 
     def one_too_many(setup, n):
         res = invariant_cohomology(setup, n)
-        return dataclasses.replace(res, dim_coboundaries=res.dim_coboundaries + 1)
+        return CohomologyResult(res.degree, res.dim_cochain, res.dim_cocycles,
+                                res.dim_coboundaries + 1, res.dim_cohomology,
+                                res.compute_representatives)
 
     monkeypatch.setattr(cli, "invariant_cohomology", one_too_many)
     code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
@@ -656,8 +665,8 @@ def test_wrong_invariant_coboundaries_trip_their_oracle(capsys, monkeypatch):
 
 def test_dropped_invariant_vector_trips_its_oracle(capsys, monkeypatch):
     # without the first vector of every Inv basis the Z and B numbers that
-    # it carries fall; the Z oracle solves the full actions and the B oracle
-    # takes no invariant basis, so each such row must show it (g_2's one
+    # it carries fall; the Z and B oracles count weights and take no
+    # invariant basis, so each such row must show it (g_2's one
     # invariant 2-cochain is neither a cocycle nor a coboundary)
     invariant_subspace = invariants.invariant_subspace
 
@@ -678,6 +687,28 @@ def test_dropped_invariant_vector_trips_its_oracle(capsys, monkeypatch):
     ]
 
 
+def test_wrong_weight_count_trips_the_character_oracle(capsys, monkeypatch):
+    # the Z and B oracles count the cochains of each weight; one n-cochain
+    # too many of weight 0 raises every oracle Z by one and leaves B alone
+    counts = invariants._cochain_counts
+
+    def one_too_many(k, grading, v=0):
+        got = counts(k, grading, v)
+        return got[:-1] + [got[-1] + 1] if v == 0 else got
+
+    monkeypatch.setattr(invariants, "_cochain_counts", one_too_many)
+    code, data, _ = run_json(capsys, "verify-paper", "--n-max", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["oracle_consistent"] is False
+    bad = [(r["claim"], r["note"]) for r in payload["rows"] if not r["oracle_ok"]]
+    assert bad == [
+        ("dim Z^2(h_2, triv)^sl2", "INTERNAL: oracle got 4, sparse path 3"),
+        ("dim Z^2(h_2, sch_2)^sl2", "INTERNAL: oracle got 5, sparse path 4"),
+        ("dim Z^2(a, g_2)^sl2", "INTERNAL: oracle got 1, sparse path 0"),
+    ]
+
+
 def test_verify_paper_payload_pinned(capsys):
     # the claim table, every row, note and count, byte for byte; elapsed
     # is outside the payload
@@ -687,9 +718,9 @@ def test_verify_paper_payload_pinned(capsys):
     assert digest == "a173bcc5516d58daccde8e63020f51f851460e0f8883f388dcb8143151e572cc"
 
 
-def test_levi_without_a_diagonal_element(capsys, tmp_path):
-    # sch_2 on the levi basis (e+f, e-f, h+e): no levi basis element acts
-    # diagonally, so every levi weight is 0 and nothing is dropped
+def _skew_sch2(tmp_path):
+    """sch_2 on the levi basis (e+f, e-f, h+e), in which no levi basis
+    element acts diagonally, and the path of its algebra file."""
     g = catalog.schrodinger(2)
     basis = [[1, 1, 0], [1, -1, 0], [1, 0, 1]]
     basis = [row + [0] * 5 for row in basis] + [
@@ -710,6 +741,14 @@ def test_levi_without_a_diagonal_element(capsys, tmp_path):
     assert skew.validate() is None
     path = tmp_path / "skew.json"
     path.write_text(catalog.serialize(skew), encoding="utf-8")
+    return skew, path
+
+
+def test_levi_without_a_diagonal_element(capsys, tmp_path):
+    # no levi basis element acts diagonally, so every levi weight is 0 and
+    # nothing is dropped
+    g = catalog.schrodinger(2)
+    skew, path = _skew_sch2(tmp_path)
     for algebra, x in ((skew, None), (g, 2)):
         setup = InvariantSetup(algebra, (0, 1, 2), range(3, 8), adjoint_rep(algebra))
         assert _levi_grading(setup)[0] == x
@@ -723,6 +762,43 @@ def test_levi_without_a_diagonal_element(capsys, tmp_path):
             _, ref, _ = run_json(capsys, "invariant-cohomology", "--ambient", "schrodinger:2",
                                  "--coeff", coeff, "--degree", str(p))
             assert data["payload"] == ref["payload"], (coeff, p)
+
+
+def test_hs_check_off_sl2_triples(capsys, tmp_path):
+    # levi parts that are not sl2 triples keep invariant_cohomology in the
+    # factorized sum: sch_2 on a levi basis without a diagonal element gives
+    # the values of its canonical split, and a solvable triple (x, a, b),
+    # [x, a] = a, [x, b] = -b, [x, u] = -u, gives its own, where the sl2
+    # character formulas would give dim Inv^1 = -1 with trivial coefficients
+    skew, path = _skew_sch2(tmp_path)
+    solvable = LieAlgebra(["x", "a", "b", "u"],
+                          {(0, 1): {1: 1}, (0, 2): {2: -1}, (0, 3): {3: -1}})
+    assert solvable.validate() is None
+    solvable_path = tmp_path / "solvable.json"
+    solvable_path.write_text(catalog.serialize(solvable), encoding="utf-8")
+    for algebra, radical in ((skew, range(3, 8)), (solvable, (3,))):
+        for module in (trivial_rep(algebra, 1), adjoint_rep(algebra)):
+            setup = InvariantSetup(algebra, (0, 1, 2), radical, module)
+            assert invariants.character_dims(setup, 1, SparseMatrix.rank) is None
+    # (direct, factorized, agree) in degrees 0..4
+    solvable_expected = {
+        "trivial": [(1, 1, True), (1, 1, True), (2, 1, False), (2, 1, False), (0, 0, True)],
+        "adjoint": [(0, 0, True), (4, 1, False), (4, 1, False), (0, 1, False), (0, 1, False)],
+    }
+    for coeff in ("trivial", "adjoint"):
+        for p in range(5):
+            code, data, _ = run_json(
+                capsys, "hs-check", "--ambient", f"file:{path}", "--levi", "indices:0,1,2",
+                "--radical", "indices:3,4,5,6,7", "--coeff", coeff, "--degree", str(p))
+            _, ref, _ = run_json(capsys, "hs-check", "--ambient", "schrodinger:2",
+                                 "--coeff", coeff, "--degree", str(p))
+            assert code == 0 and data["payload"] == ref["payload"], (coeff, p)
+            code, data, _ = run_json(
+                capsys, "hs-check", "--ambient", f"file:{solvable_path}", "--levi",
+                "indices:0,1,2", "--radical", "indices:3", "--coeff", coeff,
+                "--degree", str(p))
+            got = tuple(data["payload"][k] for k in ("direct", "factorized", "agree"))
+            assert code == 0 and got == solvable_expected[coeff][p], (coeff, p)
 
 
 def test_permuted_invariant_outputs_pinned(capsys, tmp_path):
@@ -749,6 +825,19 @@ def test_permuted_invariant_outputs_pinned(capsys, tmp_path):
     outputs = [[code, data["payload"]] for code, data in outputs]
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
     assert digest == "daff44fa54fbc1ffcea1a7ca3c0e97b4822a99b6b5243ded04821773bbe441b0"
+
+
+def test_cli_imports_only_what_runs():
+    # dataclasses (with inspect, ast, dis, tokenize), typing and random cost
+    # set-up time and resident memory in every process that imports the CLI;
+    # -S keeps site's own imports out of the check
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("dataclasses", "typing", "inspect", "random")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import liecohom.cli, sys; print([m for m in {heavy!r} if m in sys.modules])"],
+        env={"PYTHONPATH": str(src)}, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_selftest(capsys):
