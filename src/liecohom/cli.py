@@ -225,12 +225,12 @@ def cmd_invariant_cohomology(args) -> tuple:
     p = _degree(args)
     res = invariant_cohomology(setup, p)
     sub = invariant_subcomplex_cohomology(setup, p)
-    consistent = sub["dim_cohomology"] == res.dim_cohomology
+    consistent = sub == res.dim_cohomology
     payload = dict(
         res.as_dict(),
         coefficients=args.coeff,
         dim_invariant_cochains=invariant_subspace(setup, p).dim,
-        subcomplex_dim_cohomology=sub["dim_cohomology"],
+        subcomplex_dim_cohomology=sub,
         consistent=consistent,
     )
     if args.representatives:

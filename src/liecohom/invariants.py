@@ -13,8 +13,9 @@ The invariant cohomology here is (Z^n cap Inv) / (B^n cap Inv),
 where Inv is the common kernel of these transforms over the levi basis
 elements, each given by its ambient basis index.
 The cohomology of the invariant subcomplex (Inv, d restricted) is
-available separately as a consistency check; the two agree when s acts
-completely reducibly.
+available separately as a consistency check. Its cocycles are Z^n cap Inv
+too, so the two differ only in the coboundaries, B^n cap Inv against
+d(Inv^{n-1}), and agree when s acts completely reducibly.
 
 Levi grading. When a levi basis element x acts diagonally on g and on M
 (h in every catalog split), it acts on the cochain (J, m) by the weight
@@ -47,7 +48,7 @@ from .exact_linalg import (
     stacked,
 )
 from .lie_core import LieAlgebra, subalgebra_on_indices
-from .representations import Representation, restrict_to_indices
+from .representations import Representation
 from .cochain import (
     CochainSpace,
     CohomologyResult,
@@ -80,22 +81,23 @@ class InvariantSetup:
             raise ValueError("levi and radical indices overlap")
         if set(levi) | set(radical) != set(range(ambient.dim)):
             raise ValueError("levi and radical must cover the basis")
+        # the smallest (p, i) with p in the radical and [b_i, b_p] outside it
         radical_set = set(radical)
-        for p in radical:
-            for i in range(ambient.dim):
-                for k in ambient.bracket_basis(i, p):
-                    if k not in radical_set:
-                        raise ValueError(
-                            f"radical is not an ideal: [{ambient.labels[i]}, "
-                            f"{ambient.labels[p]}] leaves it"
-                        )
+        leaving = [(p, i) for (a, b), comps in ambient.structure.items()
+                   if not comps.keys() <= radical_set
+                   for p, i in ((a, b), (b, a)) if p in radical_set]
+        if leaving:
+            p, i = min(leaving)
+            raise ValueError(f"radical is not an ideal: [{ambient.labels[i]}, "
+                             f"{ambient.labels[p]}] leaves it")
         self.ambient = ambient
         self.levi = levi
         self.radical = radical
         self.module = module
         self.levi_algebra = subalgebra_on_indices(ambient, levi)
         self.radical_algebra = subalgebra_on_indices(ambient, radical)
-        self.radical_module = restrict_to_indices(module, radical)
+        self.radical_module = Representation(
+            self.radical_algebra, [module.actions[p] for p in radical], module.module_dim)
         self._cache: dict = {}
 
     def cochain_space(self, n: int) -> CochainSpace:
@@ -230,24 +232,12 @@ def invariant_cohomology(setup: InvariantSetup, n: int) -> CohomologyResult:
     return setup._cache[key]
 
 
-def invariant_subcomplex_cohomology(setup: InvariantSetup, n: int) -> dict:
-    """Dimensions of H^n of the subcomplex (Inv^*, d restricted).
-
-    Returns dim Inv^n, the rank of d_n on it, the rank of d_{n-1} on
-    Inv^{n-1}, and the resulting cohomology dimension. Used to check
-    that quotients of invariants agree with invariants of the quotient.
-    """
-    inv_n = invariant_subspace(setup, n)
-    rank_dn = (_block(setup, n) @ inv_n.matrix().transpose()).rank()
-    if n == 0:
-        rank_prev = 0
-    else:
-        prev = invariant_subspace(setup, n - 1)
-        rank_prev = (_block(setup, n - 1) @ prev.matrix().transpose()).rank()
-    dim_ker = inv_n.dim - rank_dn
-    return {
-        "dim_invariants": inv_n.dim,
-        "dim_kernel": dim_ker,
-        "dim_image": rank_prev,
-        "dim_cohomology": dim_ker - rank_prev,
-    }
+def invariant_subcomplex_cohomology(setup: InvariantSetup, n: int) -> int:
+    """dim H^n of the subcomplex (Inv^*, d restricted). Its cocycles are
+    Z^n cap Inv, as in invariant_cohomology; its coboundaries are
+    d(Inv^{n-1}), not B^n cap Inv (see the module docstring)."""
+    rank_prev = 0
+    if n:
+        inv = invariant_subspace(setup, n - 1).matrix().transpose()
+        rank_prev = (_block(setup, n - 1) @ inv).rank()
+    return invariant_cohomology(setup, n).dim_cocycles - rank_prev

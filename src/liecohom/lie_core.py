@@ -306,26 +306,23 @@ def inner_derivations(g: LieAlgebra) -> Subspace:
 def subalgebra_on_indices(g: LieAlgebra, indices: Sequence[int]) -> LieAlgebra:
     """The subalgebra spanned by the listed basis vectors, with induced bracket.
 
-    Raises NotASubalgebra when some [b_p, b_q] leaves the span.
+    Raises NotASubalgebra naming the smallest pair p < q whose [b_p, b_q]
+    leaves the span, read in one pass over the stored brackets in key order.
     """
     indices = tuple(sorted(set(int(i) for i in indices)))
     if indices and not (0 <= indices[0] and indices[-1] < g.dim):
         raise ValueError("subalgebra index out of range")
     pos = {p: a for a, p in enumerate(indices)}
     structure: dict = {}
-    for a, p in enumerate(indices):
-        for b in range(a + 1, len(indices)):
-            q = indices[b]
-            comps = {}
-            for k, c in g.bracket_basis(p, q).items():
-                if k not in pos:
-                    raise NotASubalgebra(
-                        f"[{g.labels[p]}, {g.labels[q]}] leaves the span of "
-                        f"indices {indices}"
-                    )
-                comps[pos[k]] = c
-            if comps:
-                structure[(a, b)] = comps
+    for p, q in sorted(g.structure):
+        if p in pos and q in pos:
+            comps = g.structure[(p, q)]
+            if not comps.keys() <= pos.keys():
+                raise NotASubalgebra(
+                    f"[{g.labels[p]}, {g.labels[q]}] leaves the span of "
+                    f"indices {indices}"
+                )
+            structure[(pos[p], pos[q])] = {pos[k]: c for k, c in comps.items()}
     return LieAlgebra(
         [g.labels[p] for p in indices], structure, name=f"{g.name}|{indices}"
     )

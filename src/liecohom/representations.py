@@ -9,7 +9,7 @@ of Jacobi and the trivial one vacuously.
 from collections.abc import Sequence
 
 from .exact_linalg import SparseMatrix
-from .lie_core import LieAlgebra, subalgebra_on_indices
+from .lie_core import LieAlgebra
 
 
 class RepViolation:
@@ -85,14 +85,4 @@ def validate_rep(rep: Representation) -> RepViolation | None:
             if lhs != rep.actions[i] @ rep.actions[j]:
                 return RepViolation((i, j))
     return None
-
-
-def restrict_to_indices(rep: Representation, indices: Sequence[int]) -> Representation:
-    """Representation of the subalgebra on the listed basis indices,
-    acting on the same module space."""
-    indices = tuple(sorted(set(int(i) for i in indices)))
-    sub = subalgebra_on_indices(rep.algebra, indices)
-    return Representation(
-        sub, [rep.actions[i] for i in indices], module_dim=rep.module_dim
-    )
 

@@ -193,6 +193,22 @@ def test_invariant_cohomology_example(capsys):
     assert data["payload"]["consistent"] is True
 
 
+def test_invariant_cohomology_exits_3_when_the_subcomplex_disagrees(capsys, tmp_path):
+    # a levi part acting nilpotently, [a, v] = u: the invariant subcomplex
+    # has the cocycles Z^2 cap Inv but fewer coboundaries than B^2 cap Inv
+    path = tmp_path / "auv.json"
+    path.write_text(json.dumps({"name": "auv", "basis": ["a", "u", "v"], "brackets": [
+        {"left": 0, "right": 2, "result": [[1, "1"]]}]}))
+    code, data, _ = run_json(
+        capsys, "invariant-cohomology", "--ambient", f"file:{path}", "--levi",
+        "indices:0", "--radical", "indices:1,2", "--coeff", "adjoint", "--degree", "2")
+    assert code == 3
+    payload = data["payload"]
+    assert payload["consistent"] is False
+    assert payload["dim_cohomology"] == 1
+    assert payload["subcomplex_dim_cohomology"] == 2
+
+
 def test_hs_check_example(capsys):
     code, data, _ = run_json(
         capsys, "hs-check", "--ambient", "schrodinger-quotient:3", "--degree", "2"
@@ -326,6 +342,27 @@ def test_levi_not_a_subalgebra_exits_2(capsys):
         )
         assert code == 2, command
         assert err.startswith("error:") and "leaves the span" in err, command
+
+
+def test_split_witnesses_name_the_smallest_pair(capsys, tmp_path):
+    # brackets into the center {z0, z1}, listed out of key order, so neither
+    # the first stored nor the first key-order failure is the smallest pair
+    brackets = [((1, 2), 4), ((0, 3), 5), ((0, 1), 4)]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "name": "", "basis": ["x0", "x1", "x2", "x3", "z0", "z1"],
+        "brackets": [{"left": i, "right": j, "result": [[k, "1"]]}
+                     for (i, j), k in brackets]}))
+    for levi, radical, words in (
+        ("0,1,2,3", "4,5", "[x0, x1] leaves the span of indices (0, 1, 2, 3)"),
+        ("0,2,4,5", "1,3", "radical is not an ideal: [x0, x1] leaves it"),
+        ("0,1,4,5", "2,3", "radical is not an ideal: [x1, x2] leaves it"),
+    ):
+        for command in ("invariant-cohomology", "hs-check"):
+            code, _, err = run(capsys, command, "--ambient", f"file:{path}", "--levi",
+                               f"indices:{levi}", "--radical", f"indices:{radical}",
+                               "--coeff", "trivial")
+            assert (code, err) == (2, f"error: {words}\n"), (command, levi)
 
 
 def test_file_names_do_not_choose_the_split(capsys, tmp_path):

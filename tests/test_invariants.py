@@ -4,6 +4,7 @@ import pytest
 
 from liecohom import catalog
 from liecohom.cochain import differential, is_coboundary, is_cocycle
+from liecohom.exact_linalg import Subspace
 from liecohom.invariants import (
     InvariantSetup,
     cochain_action,
@@ -11,7 +12,8 @@ from liecohom.invariants import (
     invariant_subcomplex_cohomology,
     invariant_subspace,
 )
-from liecohom.representations import adjoint_rep, trivial_rep
+from liecohom.lie_core import LieAlgebra, subalgebra_on_indices
+from liecohom.representations import adjoint_rep, trivial_rep, validate_rep
 
 from oracles import naive_cochain_action_apply, permute_algebra, rescale_basis
 
@@ -118,6 +120,44 @@ def test_trivial_invariant_cohomology_counts():
         assert res.dim_cohomology == z_dim - 1
 
 
+def test_radical_module_restricts_the_ambient_module(sch2, sl2):
+    rep = adjoint_rep(sch2)
+    # the pivots of a coordinate-aligned subspace are its basis indices
+    aligned = Subspace.from_vectors(8, [{i: 1} for i in range(3, 8)])
+    assert aligned.pivots == (3, 4, 5, 6, 7)
+    for module in (rep, trivial_rep(sch2, 2)):
+        setup = InvariantSetup(sch2, (0, 1, 2), aligned.pivots, module)
+        sub = setup.radical_module
+        assert sub.algebra is setup.radical_algebra
+        assert sub.algebra.labels == ("x1", "x2", "y1", "y2", "z")
+        assert sub.module_dim == module.module_dim
+        assert validate_rep(sub) is None
+        assert sub.actions == module.actions[3:]
+    # an empty levi: the module of the subalgebra on every index
+    whole = InvariantSetup(sch2, (), range(8), rep).radical_module
+    assert whole.algebra == subalgebra_on_indices(sch2, range(8))
+    assert whole.actions == rep.actions
+    sl2_rep = adjoint_rep(sl2)
+    unsorted = InvariantSetup(sl2, (), (2, 0, 1), sl2_rep).radical_module
+    assert unsorted.algebra.labels == sl2.labels
+    assert validate_rep(unsorted) is None
+    assert unsorted.actions == sl2_rep.actions
+
+
+def test_setup_makes_no_bracket_probes(monkeypatch):
+    # the ideal check, both subalgebras and the radical module are read
+    # off the stored brackets: no pairwise bracket_basis calls, of which
+    # 300 labels would need C(300, 2) per subalgebra
+    g = LieAlgebra([f"a{i}" for i in range(300)], {})
+    calls = []
+    real = LieAlgebra.bracket_basis
+    monkeypatch.setattr(LieAlgebra, "bracket_basis",
+                        lambda self, i, j: calls.append((i, j)) or real(self, i, j))
+    setup = InvariantSetup(g, (), range(300), trivial_rep(g, 1))
+    assert setup.radical_algebra.dim == 300
+    assert calls == []
+
+
 def test_invariant_representatives_are_invariant_cocycles(sch2_adj_setup):
     setup = sch2_adj_setup
     r, M = setup.radical_algebra, setup.radical_module
@@ -136,13 +176,7 @@ def test_subcomplex_agrees_with_intersections(sch2_adj_setup, sch2_triv_setup):
         for n in (0, 1, 2):
             via_intersections = invariant_cohomology(setup, n)
             via_subcomplex = invariant_subcomplex_cohomology(setup, n)
-            assert (
-                via_subcomplex["dim_cohomology"]
-                == via_intersections.dim_cohomology
-            )
-            assert via_subcomplex["dim_invariants"] == invariant_subspace(
-                setup, n
-            ).dim
+            assert via_subcomplex == via_intersections.dim_cohomology
 
 
 def test_quotient_invariant_counts(g2):

@@ -2,12 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from liecohom.exact_linalg import Subspace
-from liecohom.lie_core import subalgebra_on_indices
 from liecohom.representations import (
     Representation,
     adjoint_rep,
-    restrict_to_indices,
     trivial_rep,
     validate_rep,
 )
@@ -48,30 +45,6 @@ def test_h_eigenvalues_on_adjoint(sch2):
     h_action = rep.actions[2]
     diag = [h_action.entries.get((i, i), 0) for i in range(8)]
     assert diag == [2, -2, 0, 1, 1, -1, -1, 0]
-
-
-def test_restrict_to_subalgebra(sch2):
-    rep = adjoint_rep(sch2)
-    sub = restrict_to_indices(rep, range(3, 8))
-    assert sub.algebra.labels == ("x1", "x2", "y1", "y2", "z")
-    assert sub.module_dim == 8
-    assert validate_rep(sub) is None
-    assert sub.actions[0] == rep.actions[3]
-    # every index: the module of the subalgebra on them, not the module itself
-    assert restrict_to_indices(rep, range(8)).algebra == subalgebra_on_indices(sch2, range(8))
-    assert restrict_to_indices(rep, (2, 0, 1)).algebra.labels == ("e", "f", "h")
-
-
-def test_restrict_via_subspace(sch2):
-    # The pivots of a coordinate-aligned subalgebra are its basis indices.
-    rep = adjoint_rep(sch2)
-    aligned = Subspace.from_vectors(8, [{i: 1} for i in (0, 1, 2)])
-    assert aligned.pivots == (0, 1, 2)
-    sub = restrict_to_indices(rep, aligned.pivots)
-    assert sub.algebra.dim == 3
-    assert sub.algebra.labels == ("e", "f", "h")
-    assert validate_rep(sub) is None
-    assert sub.actions == rep.actions[:3]
 
 
 def test_shape_errors(sl2):
