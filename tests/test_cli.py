@@ -345,8 +345,9 @@ def test_levi_not_a_subalgebra_exits_2(capsys):
 
 
 def test_split_witnesses_name_the_smallest_pair(capsys, tmp_path):
-    # brackets into the center {z0, z1}, listed out of key order, so neither
-    # the first stored nor the first key-order failure is the smallest pair
+    # brackets into the center {z0, z1}, listed out of key order: the first
+    # stored failure is never the smallest pair, and for the radical {x2, x3}
+    # the first failure in key order is not either
     brackets = [((1, 2), 4), ((0, 3), 5), ((0, 1), 4)]
     path = tmp_path / "g.json"
     path.write_text(json.dumps({
