@@ -4,7 +4,6 @@ import pytest
 
 from liecohom import catalog
 from liecohom.cochain import differential, is_coboundary, is_cocycle
-from liecohom.exact_linalg import Subspace
 from liecohom.invariants import (
     InvariantSetup,
     cochain_action,
@@ -12,7 +11,7 @@ from liecohom.invariants import (
     invariant_subcomplex_cohomology,
     invariant_subspace,
 )
-from liecohom.lie_core import LieAlgebra, subalgebra_on_indices
+from liecohom.lie_core import LieAlgebra
 from liecohom.representations import adjoint_rep, trivial_rep, validate_rep
 
 from oracles import naive_cochain_action_apply, permute_algebra, rescale_basis
@@ -118,30 +117,6 @@ def test_trivial_invariant_cohomology_counts():
         assert res.dim_cocycles == z_dim  # n(n+1)/2
         assert res.dim_coboundaries == 1
         assert res.dim_cohomology == z_dim - 1
-
-
-def test_radical_module_restricts_the_ambient_module(sch2, sl2):
-    rep = adjoint_rep(sch2)
-    # the pivots of a coordinate-aligned subspace are its basis indices
-    aligned = Subspace.from_vectors(8, [{i: 1} for i in range(3, 8)])
-    assert aligned.pivots == (3, 4, 5, 6, 7)
-    for module in (rep, trivial_rep(sch2, 2)):
-        setup = InvariantSetup(sch2, (0, 1, 2), aligned.pivots, module)
-        sub = setup.radical_module
-        assert sub.algebra is setup.radical_algebra
-        assert sub.algebra.labels == ("x1", "x2", "y1", "y2", "z")
-        assert sub.module_dim == module.module_dim
-        assert validate_rep(sub) is None
-        assert sub.actions == module.actions[3:]
-    # an empty levi: the module of the subalgebra on every index
-    whole = InvariantSetup(sch2, (), range(8), rep).radical_module
-    assert whole.algebra == subalgebra_on_indices(sch2, range(8))
-    assert whole.actions == rep.actions
-    sl2_rep = adjoint_rep(sl2)
-    unsorted = InvariantSetup(sl2, (), (2, 0, 1), sl2_rep).radical_module
-    assert unsorted.algebra.labels == sl2.labels
-    assert validate_rep(unsorted) is None
-    assert unsorted.actions == sl2_rep.actions
 
 
 def test_setup_makes_no_bracket_probes(monkeypatch):
