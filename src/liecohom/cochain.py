@@ -191,6 +191,8 @@ def _assemble(r: LieAlgebra, M: Representation, n: int, grading=None,
     denominators of the structure constants and of the action rows: every
     term is an int, and only an entry hit twice is added.
     """
+    if n > r.dim:  # C^n = C^{n+1} = 0
+        return SparseMatrix.zero(0, 0)
     md = M.module_dim
     idx_in = {t: a for a, t in enumerate(combinations(range(int(contract), r.dim), n))}
     # the positions i of J whose terms are assembled
@@ -257,6 +259,8 @@ def _graded_rows(grading, dim: int, md: int, k: int, acts: list, contract=False)
     with rows (J, m) of weight zero under a grading (lam, mu), all rows
     without one: ms lists those m, and kept is acts, lists of (mr, mc, x)
     terms, with each mr in ms replaced by its position there."""
+    if k > dim:  # no k-tuple
+        return
     lam, mu = grading or ([0] * dim, [0] * md)
     kept: dict = {}
     for m, w in enumerate(mu):
@@ -334,6 +338,8 @@ def _acyclic_rank(k: int, grading) -> int:
     docstring), so this is the sum over i <= k of (-1)^(k-i) times the
     number of i-cochains of nonzero weight."""
     lam, mu = grading
+    if k > len(lam):
+        return 0
     rank = 0
     for i, zero in enumerate(_cochain_counts(k, grading)):
         rank = comb(len(lam), i) * len(mu) - zero - rank

@@ -46,8 +46,8 @@ _MAX_EXPONENT = 100
 def rat(x) -> Fraction:
     """Coerce an int, string or Fraction to an exact rational.
 
-    A float is refused: its binary value is rarely the number meant. So is
-    a string whose decimal exponent exceeds _MAX_EXPONENT.
+    A float is refused: its binary value is rarely the number meant. So are
+    a bool and a string whose decimal exponent exceeds _MAX_EXPONENT.
 
     >>> rat("2"), rat("-1/3"), rat(5), rat("0.1"), rat("25e-2")
     (Fraction(2, 1), Fraction(-1, 3), Fraction(5, 1), Fraction(1, 10), Fraction(1, 4))
@@ -57,10 +57,15 @@ def rat(x) -> Fraction:
     >>> rat(0.1)
     Traceback (most recent call last):
     ValueError: inexact float coefficient 0.1: write an integer or a string such as "1/10"
+    >>> rat(True)
+    Traceback (most recent call last):
+    ValueError: boolean coefficient True: write an integer or a string
     >>> rat("1e30000000")
     Traceback (most recent call last):
     ValueError: exponent too large in '1e30000000': at most 100
     """
+    if isinstance(x, bool):
+        raise ValueError(f"boolean coefficient {x!r}: write an integer or a string")
     if isinstance(x, float):
         raise ValueError(
             f'inexact float coefficient {x!r}: write an integer or a string such as "1/10"'

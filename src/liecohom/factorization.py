@@ -90,7 +90,7 @@ def hs_factorized_dim(setup: InvariantSetup, p: int) -> int:
         setup._cache["levi_trivial"] = trivial_rep(s, 1)
     triv = setup._cache["levi_trivial"]
     total = 0
-    for m in range(p + 1):
+    for m in range(min(p, s.dim) + 1):  # H^m(s) = 0 for m > dim s
         left = cohomology(s, triv, m).dim_cohomology
         if left:
             dims = character_dims(setup, p - m, SparseMatrix.rank)

@@ -171,6 +171,8 @@ def character_dims(setup: InvariantSetup, n: int, rank):
             or weight[pair[0]] + weight[pair[1]]
             or not setup.ambient.bracket_basis(*pair)):
         return None
+    if n > len(lam):
+        return 0, 0, 0
     dims = []
     for v in (0, abs(weight[pair[0]])):
         c = _cochain_counts(n, (lam, mu), v)[n]

@@ -17,6 +17,7 @@ from .exact_linalg import (
     kernel_basis,
     rat,
     rat_str,
+    stacked,
 )
 
 
@@ -124,32 +125,6 @@ class LieAlgebra:
             return dict(self.structure.get((i, j), {}))
         return {k: -c for k, c in self.structure.get((j, i), {}).items()}
 
-    def bracket(self, u: Sequence, v: Sequence) -> tuple:
-        """Bilinear alternating extension of the basis brackets.
-
-        Expands through the structure constants; u and v are coordinate
-        vectors of length dim.
-        """
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector length does not match algebra dimension")
-        u = [Fraction(x) for x in u]
-        v = [Fraction(x) for x in v]
-        out = [Fraction(0)] * self.dim
-        for (i, j), comps in self.structure.items():
-            coeff = u[i] * v[j] - u[j] * v[i]
-            if coeff:
-                for k, c in comps.items():
-                    out[k] += coeff * c
-        return tuple(out)
-
-    def ad_matrix(self, i: int) -> SparseMatrix:
-        """Matrix of ad_{b_i} : v -> [b_i, v] in the given basis."""
-        ent = {}
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
-                ent[(k, j)] = c
-        return SparseMatrix(self.dim, self.dim, ent)
-
     def validate(self) -> JacobiViolation | None:
         """None when Jacobi holds on all basis triples, else the first failure.
 
@@ -238,15 +213,21 @@ class LieAlgebra:
         return f"LieAlgebra({self.name or 'unnamed'}, dim={self.dim})"
 
 
+def ad_matrices(g: LieAlgebra) -> list:
+    """The matrices of ad b_i : v -> [b_i, v], read in one pass over the
+    stored brackets: entry (k, j) of the i-th is [b_i, b_j]_k. Each matrix
+    is filled column by column, as the keys are read in sorted order."""
+    ents = [{} for _ in range(g.dim)]
+    for i, j in sorted(g.structure):
+        for k, c in g.structure[(i, j)].items():
+            ents[i][(k, j)] = c
+            ents[j][(k, i)] = -c
+    return [SparseMatrix(g.dim, g.dim, e) for e in ents]
+
+
 def center(g: LieAlgebra) -> Subspace:
-    """{v : [b_i, v] = 0 for all i}, the kernel of the stacked ad matrices,
-    read off the stored brackets: row i * dim + k, column j is [b_i, b_j]_k."""
-    ent = {}
-    for (i, j), comps in g.structure.items():
-        for k, c in comps.items():
-            ent[(i * g.dim + k, j)] = c
-            ent[(j * g.dim + k, i)] = -c
-    return kernel_basis(SparseMatrix(g.dim * g.dim, g.dim, ent))
+    """{v : [b_i, v] = 0 for all i}, the kernel of the stacked ad matrices."""
+    return kernel_basis(stacked(ad_matrices(g), g.dim))
 
 
 def _leibniz_system(g: LieAlgebra) -> SparseMatrix:
@@ -289,17 +270,10 @@ def derivation_space(g: LieAlgebra) -> Subspace:
     return kernel_basis(_leibniz_system(g))
 
 
-def derivations(g: LieAlgebra) -> list:
-    """Basis of the derivation algebra, as matrices."""
-    dim = g.dim
-    return [SparseMatrix(dim, dim, {divmod(idx, dim): v for idx, v in row.items()})
-            for row in derivation_space(g).rows]
-
-
 def inner_derivations(g: LieAlgebra) -> Subspace:
     """Span of the ad matrices, flattened; dim = dim(g) - dim center(g)."""
-    vectors = [{r * g.dim + c: v for (r, c), v in g.ad_matrix(i).entries.items()}
-               for i in range(g.dim)]
+    vectors = [{r * g.dim + c: v for (r, c), v in ad.entries.items()}
+               for ad in ad_matrices(g)]
     return Subspace.from_vectors(g.dim * g.dim, vectors)
 
 
@@ -333,26 +307,30 @@ def quotient(g: LieAlgebra, ideal: Subspace) -> LieAlgebra:
 
     The complement basis is the set of basis vectors of g away from the
     echelon pivots of the ideal, so labels of survivors are preserved.
+    Both the ideal check and the quotient table read the stored brackets;
+    NotAnIdeal names the smallest (ideal row, generator) whose bracket
+    leaves the ideal.
     """
     if ideal.ambient_dim != g.dim:
         raise ValueError("ideal lives in the wrong ambient space")
     for w_idx, w in enumerate(ideal.rows):
-        for i in range(g.dim):
-            image: dict = {}  # [b_i, w], without stored zeros
-            for t, wt in w.items():
-                _subtract(image, -wt, g.bracket_basis(i, t))
-            if ideal.reduce(image):
-                raise NotAnIdeal(i, w_idx)
+        images: dict = {}  # i -> [b_i, w], summed over the stored brackets
+        for (p, q), comps in g.structure.items():
+            for i, t, sign in ((p, q, 1), (q, p, -1)):
+                if t in w:
+                    _subtract(images.setdefault(i, {}), -sign * w[t], comps)
+        bad = [i for i, image in images.items() if ideal.reduce(image)]
+        if bad:
+            raise NotAnIdeal(min(bad), w_idx)
     pivots = set(ideal.pivots)
     comp = [i for i in range(g.dim) if i not in pivots]
     cpos = {p: a for a, p in enumerate(comp)}
     structure: dict = {}
-    for a, p in enumerate(comp):
-        for b in range(a + 1, len(comp)):
-            w = ideal.reduce(g.bracket_basis(p, comp[b]))
-            comps = {cpos[t]: w[t] for t in sorted(w)}
-            if comps:
-                structure[(a, b)] = comps
+    for p, q in sorted(g.structure):
+        if p in cpos and q in cpos:
+            w = ideal.reduce(dict(g.structure[(p, q)]))
+            if w:
+                structure[(cpos[p], cpos[q])] = {cpos[t]: w[t] for t in sorted(w)}
     out = LieAlgebra(
         [g.labels[p] for p in comp], structure, name=f"{g.name}/ideal" if g.name else ""
     )

@@ -9,7 +9,7 @@ of Jacobi and the trivial one vacuously.
 from collections.abc import Sequence
 
 from .exact_linalg import SparseMatrix
-from .lie_core import LieAlgebra
+from .lie_core import LieAlgebra, ad_matrices
 
 
 class RepViolation:
@@ -70,7 +70,7 @@ def trivial_rep(g: LieAlgebra, d: int) -> Representation:
 
 def adjoint_rep(g: LieAlgebra) -> Representation:
     """g acting on itself by v . w = [v, w]."""
-    return Representation(g, [g.ad_matrix(i) for i in range(g.dim)], module_dim=g.dim)
+    return Representation(g, ad_matrices(g), module_dim=g.dim)
 
 
 def validate_rep(rep: Representation) -> RepViolation | None:

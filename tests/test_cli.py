@@ -280,6 +280,8 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     float_coeff = catalog.sl2().to_json_dict()
     float_coeff["brackets"][0]["result"] = [[2, 0.1]]
+    bool_coeff = catalog.sl2().to_json_dict()
+    bool_coeff["brackets"][0]["result"] = [[2, True]]
     float_pair = {"basis": ["a", "b", "c"],
                   "brackets": [{"left": 0.9, "right": 1.7, "result": [[2.2, "1"]]}]}
     bool_left = {"basis": ["a", "b", "c"],
@@ -291,6 +293,7 @@ def test_bad_algebra_files_exit_2(capsys, tmp_path):
     huge_exponent["brackets"][0]["result"] = [[2, "1e30000000"]]
     cases = [(json.dumps(data), words) for data, words in (
         (zero_den, "1/0"), (string_basis, "basis"), (float_coeff, "0.1"),
+        (bool_coeff, "boolean coefficient True"),
         (float_pair, "0.9"), (bool_left, "False"), (float_target, "2.0"),
         (int_name, "name must be a string"),
         (huge_exponent, "exponent too large"))]
@@ -317,6 +320,7 @@ def test_bad_cocycle_files_exit_2(capsys, tmp_path):
         ("[[[0, 1], 0, null]]", "malformed cochain"),
         ("[[[0, 1], 0]]", "unpack"),
         ("[[[0, 1], 0, 0.5]]", "0.5"),
+        ("[[[0, 1], 0, true]]", "boolean coefficient True"),
         ('[[[0, 1.0], 0, "1"]]', "1.0"),
         ('[[[0, 1], 0.0, "1"]]', "0.0"),
         ('[[[false, 1], 0, "1"]]', "False"),
@@ -863,6 +867,39 @@ def test_permuted_invariant_outputs_pinned(capsys, tmp_path):
     outputs = [[code, data["payload"]] for code, data in outputs]
     digest = hashlib.sha256(json.dumps(outputs, sort_keys=True).encode()).hexdigest()
     assert digest == "daff44fa54fbc1ffcea1a7ca3c0e97b4822a99b6b5243ded04821773bbe441b0"
+
+
+def test_degrees_above_the_dimension_report_zeros():
+    # C^n(r, M) = 0 for n > dim r; no degree may build a tuple per degree.
+    # Each run has a 1 GiB address space and a minute
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    commands = (
+        ("cohomology", "schrodinger:2", "--coeff", "adjoint"),
+        ("cohomology", "schrodinger:2", "--coeff", "adjoint", "--representatives"),
+        ("invariant-cohomology", "--ambient", "schrodinger:2", "--coeff", "adjoint"),
+        ("invariant-cohomology", "--ambient", "schrodinger:2", "--coeff", "adjoint",
+         "--representatives"),
+        ("hs-check", "--ambient", "schrodinger:2"),
+    )
+    for degree in (10**8, 2**63 - 1, 2**63, 10**30):
+        for command in commands:
+            argv = [*command, "--degree", str(degree), "--format", "json"]
+            out = subprocess.run(
+                [sys.executable, "-m", "liecohom.cli", *argv], env={"PYTHONPATH": str(src)},
+                capture_output=True, text=True, preexec_fn=limit, timeout=60)
+            assert out.returncode == 0 and "Traceback" not in out.stderr, (argv, out.stderr)
+            payload = json.loads(out.stdout)["payload"]
+            assert payload["degree"] == degree
+            for key, value in payload.items():
+                if key.startswith(("dim_", "subcomplex_")) or key in ("direct", "factorized"):
+                    assert value == 0, (argv, key)
+            assert payload.get("representatives", []) == []
+            assert payload.get("consistent", True) and payload.get("agree", True), argv
 
 
 def test_cli_imports_only_what_runs():

@@ -21,9 +21,9 @@ from liecohom.lie_core import (
     NotAnIdeal,
     NotASubalgebra,
     _leibniz_system,
+    ad_matrices,
     center,
     derivation_space,
-    derivations,
     inner_derivations,
     quotient,
     semidirect,
@@ -31,13 +31,28 @@ from liecohom.lie_core import (
 )
 from liecohom.representations import adjoint_rep
 
-from oracles import naive_jacobi, reference_leibniz_system, rescale_basis
+from oracles import (
+    dense_bracket,
+    naive_jacobi,
+    permute_algebra,
+    reference_leibniz_system,
+    rescale_basis,
+)
 
 coords = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
 
 
 def unit(dim, i):
     return tuple(Fraction(int(t == i)) for t in range(dim))
+
+
+def bracket(ads, u, v):
+    """[u, v] = sum over i of u_i (ad b_i) v, read through ad_matrices."""
+    out = [Fraction(0)] * len(v)
+    for ui, ad in zip(u, ads):
+        if ui:
+            out = [a + ui * b for a, b in zip(out, ad.apply(v))]
+    return tuple(out)
 
 
 def test_validate_accepts_catalog(sl2, h2, sch2, sch3, g2):
@@ -130,38 +145,43 @@ def test_bracket_basis_antisymmetry(sch2):
 
 @given(coords, coords)
 def test_bracket_alternating_bilinear(u, v):
-    g = catalog.schrodinger(2)
-    assert g.bracket(u, u) == tuple([0] * g.dim)
-    lhs = g.bracket(u, v)
-    rhs = g.bracket(v, u)
+    ads = ad_matrices(catalog.schrodinger(2))
+    assert bracket(ads, u, u) == tuple([0] * len(u))
+    lhs = bracket(ads, u, v)
+    rhs = bracket(ads, v, u)
     assert lhs == tuple(-x for x in rhs)
     two_u = [2 * x for x in u]
-    assert g.bracket(two_u, v) == tuple(2 * x for x in lhs)
+    assert bracket(ads, two_u, v) == tuple(2 * x for x in lhs)
 
 
 @given(coords, coords, coords)
 def test_jacobi_on_vectors(u, v, w):
-    g = catalog.schrodinger(2)
+    ads = ad_matrices(catalog.schrodinger(2))
     total = [
         a + b + c
         for a, b, c in zip(
-            g.bracket(u, g.bracket(v, w)),
-            g.bracket(v, g.bracket(w, u)),
-            g.bracket(w, g.bracket(u, v)),
+            bracket(ads, u, bracket(ads, v, w)),
+            bracket(ads, v, bracket(ads, w, u)),
+            bracket(ads, w, bracket(ads, u, v)),
         )
     ]
     assert not any(total)
 
 
-def test_ad_matrix_matches_bracket(sl2):
-    for i in range(sl2.dim):
-        ad = sl2.ad_matrix(i)
-        for j in range(sl2.dim):
-            col = ad.apply(unit(sl2.dim, j))
-            expect = [Fraction(0)] * sl2.dim
-            for k, c in sl2.bracket_basis(i, j).items():
-                expect[k] = c
-            assert list(col) == expect
+def test_ad_matrix_matches_bracket(sl2, sch2):
+    # a rescaled basis has denominators; the permuted sch_3 stores its
+    # brackets out of key order
+    permuted = permute_algebra(catalog.schrodinger(3), [4, 9, 0, 7, 2, 5, 8, 1, 6, 3])
+    assert list(permuted.structure) != sorted(permuted.structure)
+    for g in (sl2, sch2, catalog.resolve("schrodinger-quotient:3"),
+              rescale_basis(sch2, 3, Fraction(2, 3)), permuted):
+        ads = ad_matrices(g)
+        assert len(ads) == g.dim
+        for i, ad in enumerate(ads):
+            assert (ad.rows, ad.cols) == (g.dim, g.dim)
+            for j in range(g.dim):
+                e_i, e_j = unit(g.dim, i), unit(g.dim, j)
+                assert list(ad.apply(e_j)) == dense_bracket(g, e_i, e_j), (g.name, i, j)
 
 
 def test_center_dims(sl2, h2, sch3):
@@ -198,17 +218,20 @@ def test_integer_leibniz_system_matches_the_fraction_assembly():
 
 
 def test_derivations_satisfy_leibniz(sch2):
-    mats = derivations(sch2)
-    assert len(mats) == 9
-    for D in mats:
-        for i in range(sch2.dim):
-            for j in range(i + 1, sch2.dim):
-                ei, ej = unit(sch2.dim, i), unit(sch2.dim, j)
-                lhs = D.apply(sch2.bracket(ei, ej))
+    dim = sch2.dim
+    rows = derivation_space(sch2).rows
+    assert len(rows) == 9
+    for row in rows:
+        D = SparseMatrix(dim, dim, {divmod(idx, dim): v for idx, v in row.items()})
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                ei, ej = unit(dim, i), unit(dim, j)
+                lhs = D.apply(dense_bracket(sch2, ei, ej))
                 rhs = [
                     a + b
                     for a, b in zip(
-                        sch2.bracket(D.apply(ei), ej), sch2.bracket(ei, D.apply(ej))
+                        dense_bracket(sch2, D.apply(ei), ej),
+                        dense_bracket(sch2, ei, D.apply(ej)),
                     )
                 ]
                 assert list(lhs) == rhs
@@ -258,6 +281,20 @@ def test_quotient_rejects_non_ideal(sl2):
         quotient(sl2, span_e)
     gen, vec = exc.value.witness
     assert 0 <= gen < 3 and vec == 0
+
+
+def test_quotient_names_the_smallest_failing_row_and_generator(sch2):
+    # [f, x1] = y1 leaves span(x1); the first stored failing bracket is
+    # [x1, y1] = z, so a reading in stored order would name (5, 0)
+    assert sch2.labels[1] == "f" and sch2.labels[3] == "x1"
+    with pytest.raises(NotAnIdeal) as exc:
+        quotient(sch2, Subspace.from_vectors(8, [unit(8, 3)]))
+    assert exc.value.witness == (1, 0)
+    # span(b, c) with [a, c] = d: row 0 (b) is central, only row 1 (c) fails
+    g = LieAlgebra("abcd", {(0, 2): {3: 1}})
+    with pytest.raises(NotAnIdeal) as exc:
+        quotient(g, Subspace.from_vectors(4, [unit(4, 1), unit(4, 2)]))
+    assert exc.value.witness == (0, 1)
 
 
 def test_semidirect_rebuilds_catalog(sl2, sch2):
@@ -343,8 +380,9 @@ def test_from_json_rejects_malformed():
 
 
 def test_center_reads_the_stored_brackets(monkeypatch):
-    # the center's system comes from the stored brackets, not from dim^2
-    # bracket_basis calls through ad_matrix (90,000 at 300 labels)
+    # the center, the adjoint module, the inner derivations and the quotient
+    # read the stored brackets, not pairwise bracket_basis calls (90,000,
+    # 90,000, 90,000 and 44,851 at 300 labels when they probed)
     catalog_algebras = [catalog.sl2(), catalog.heisenberg(2), catalog.schrodinger(3),
                         catalog.schrodinger_mod_center(3), catalog.abelian(3)]
     calls = []
@@ -357,8 +395,16 @@ def test_center_reads_the_stored_brackets(monkeypatch):
     monkeypatch.setattr(LieAlgebra, "bracket_basis", counted)
     wide = LieAlgebra([f"a{i}" for i in range(300)], {(0, 1): {2: 1}})
     assert center(wide).dim == 298
+    assert adjoint_rep(wide).module_dim == 300
+    assert inner_derivations(wide).dim == 2
+    q = quotient(wide, Subspace.from_vectors(300, [unit(300, 299)]))
+    assert q.dim == 299 and q.structure == wide.structure
     assert calls == []
     for g in catalog_algebras:
-        ad = kernel_basis(stacked([g.ad_matrix(i) for i in range(g.dim)], g.dim))
+        # the reference ad matrices from pairwise bracket_basis calls
+        ads = [SparseMatrix(g.dim, g.dim, {(k, j): c for j in range(g.dim)
+                                           for k, c in g.bracket_basis(i, j).items()})
+               for i in range(g.dim)]
+        ad = kernel_basis(stacked(ads, g.dim))
         got = center(g)
         assert (got.rows, got.pivots) == (ad.rows, ad.pivots)

@@ -12,6 +12,8 @@ from liecohom.representations import (
     validate_rep,
 )
 
+from oracles import dense_bracket
+
 
 def test_catalog_reps_validate(sl2, sch2, g2, h2):
     for g in (sl2, sch2, g2, h2):
@@ -31,7 +33,7 @@ def test_adjoint_is_bracket(sch2):
     u = tuple(range(1, 9))
     for i in range(sch2.dim):
         ei = tuple(Fraction(int(t == i)) for t in range(8))
-        assert rep.actions[i].apply(u) == sch2.bracket(ei, u)
+        assert list(rep.actions[i].apply(u)) == dense_bracket(sch2, ei, u)
 
 
 def test_validate_rep_catches_swap(sl2):
