@@ -267,7 +267,7 @@ def cmd_extend(args) -> tuple:
                 f"--index out of range, {len(res.representatives)} representatives"
             )
         phi = res.representatives[args.index]
-    ext = central_extension(ExtensionInput(g, tuple(phi), k))
+    ext = central_extension(ExtensionInput(g, phi, k))
     payload = {
         "base_dim": g.dim,
         "extension_dim": ext.dim,
@@ -405,7 +405,7 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
     # oracle for the membership test: ranks with and without psi, as a row
     # below the transpose of d_{p-1}
     dprev = differential(g, rep, p - 1)
-    psi_row = SparseMatrix(1, dprev.rows, {(0, i): x for i, x in enumerate(psi) if x})
+    psi_row = SparseMatrix(1, dprev.rows, {(0, i): x for i, x in psi.items()})
     dense_cobound = (certified_rank(stacked([dprev.transpose(), psi_row], dprev.rows))
                      == certified_rank(dprev))
     computed = ("cocycle" if cocycle else "not a cocycle") + (
@@ -413,8 +413,7 @@ def _cocycle_claims(claim: str, g: LieAlgebra, rep: Representation, p: int,
     )
     note = ""
     if not cocycle:
-        image = differential(g, rep, p).apply(psi)
-        first = next(i for i, x in enumerate(image) if x)
+        first = min(differential(g, rep, p).apply(psi))
         T = CochainSpace(g, rep, p + 1).tuples[first // rep.module_dim]
         note = "d(psi) is nonzero, e.g. on (" + ", ".join(g.labels[t] for t in T) + ")"
     status = "PASS" if (cocycle and not cobound) else "FAIL"
@@ -548,11 +547,10 @@ def _permuted(g: LieAlgebra, perm: list) -> LieAlgebra:
     return LieAlgebra(labels, structure, name=g.name)
 
 
-def _random_cochain(rng, dim: int) -> tuple:
-    return tuple(
-        Fraction(rng.randint(-2, 2)) if rng.random() < 0.3 else Fraction(0)
-        for _ in range(dim)
-    )
+def _random_cochain(rng, dim: int) -> dict:
+    # each coordinate drawn from -2..2 with probability 0.3, else 0
+    draws = ((i, rng.randint(-2, 2)) for i in range(dim) if rng.random() < 0.3)
+    return {i: Fraction(x) for i, x in draws if x}
 
 
 def cmd_selftest(args) -> tuple:

@@ -1,9 +1,10 @@
 """Cochain spaces and the Chevalley-Eilenberg differential.
 
 C^n(r, M) is Hom of the n-th exterior power of r into M. A cochain is a
-coordinate vector against the basis indexed by pairs (I, m): I a
-strictly increasing n-tuple of r-basis indices in lexicographic order,
-m a module coordinate; the flat index is tuple_index * module_dim + m.
+{flat index: Fraction} dict of its nonzero coordinates against the basis
+indexed by pairs (I, m): I a strictly increasing n-tuple of r-basis
+indices in lexicographic order, m a module coordinate; the flat index is
+tuple_index * module_dim + m.
 
 The differential is
 
@@ -37,11 +38,11 @@ from math import comb, lcm
 from .exact_linalg import (
     SparseMatrix,
     Subspace,
+    check_coordinates,
     column_space,
     kernel_basis,
     rat,
     rat_str,
-    to_dense,
 )
 from .lie_core import LieAlgebra, as_index
 from .representations import Representation
@@ -83,7 +84,7 @@ class CochainSpace:
 
     @property
     def dim(self) -> int:
-        return len(self.tuples) * self.module.module_dim
+        return comb(self.algebra.dim, self.degree) * self.module.module_dim
 
     def index_of(self, I: Sequence[int], m: int) -> int:
         if self._index is None:
@@ -95,46 +96,44 @@ class CochainSpace:
             raise ValueError("module coordinate out of range")
         return self._index[I] * self.module.module_dim + m
 
-    def vector_of(self, assignments: dict) -> tuple:
-        """Cochain from {(I, m): coefficient}; unlisted coordinates are zero."""
-        vec = [Fraction(0)] * self.dim
-        for (I, m), c in assignments.items():
-            vec[self.index_of(I, m)] = Fraction(c)
-        return tuple(vec)
+    def vector_of(self, assignments: dict) -> dict:
+        """Cochain from {(I, m): coefficient}, each read by rat; unlisted
+        coordinates are zero."""
+        vec = {self.index_of(I, m): rat(c) for (I, m), c in assignments.items()}
+        return {k: x for k, x in vec.items() if x}
 
-    def serialize(self, vec: Sequence) -> str:
-        """Sparse text form: [[ [i_1,...,i_n], m, "p/q" ], ...]."""
-        if len(vec) != self.dim:
-            raise ValueError("cochain vector has the wrong length")
+    def serialize(self, vec: dict) -> str:
+        """Sparse text form: [[ [i_1,...,i_n], m, "p/q" ], ...], in flat
+        index order."""
+        check_coordinates(vec, self.dim)
         md = self.module.module_dim
-        items = []
-        for flat, x in enumerate(vec):
-            if x:
-                I = self.tuples[flat // md]
-                items.append([list(I), flat % md, rat_str(x)])
-        return json.dumps(items)
+        return json.dumps([[list(self.tuples[flat // md]), flat % md, rat_str(x)]
+                           for flat, x in sorted(vec.items()) if x])
 
-    def parse(self, text: str) -> tuple:
+    def parse(self, text: str) -> dict:
+        """The cochain of serialize's text form; a coordinate listed twice
+        takes the sum of its values."""
         try:
             data = json.loads(text)
         except RecursionError:
             raise ValueError("invalid JSON: nested too deeply") from None
-        vec = [Fraction(0)] * self.dim
+        vec: dict = {}
         try:
             for I, m, c in data:
                 if not isinstance(I, list):
                     raise ValueError(f"index tuple {I!r} is not a list of indices")
-                vec[self.index_of(tuple(as_index(i) for i in I), as_index(m))] += rat(c)
+                k = self.index_of(tuple(as_index(i) for i in I), as_index(m))
+                vec[k] = vec.get(k, 0) + rat(c)
         except TypeError as exc:
             raise ValueError(f"malformed cochain data: {exc}") from exc
-        return tuple(vec)
+        return {k: x for k, x in vec.items() if x}
 
 
 class CohomologyResult:
-    """Dimensions of one cohomology group. representatives is computed by
-    compute_representatives when first read, so a caller that wants only
-    dimensions does no kernel or echelon work for it. Results compare by
-    their dimensions."""
+    """Dimensions of one cohomology group. representatives, a tuple of
+    cochains, is computed by compute_representatives when first read, so
+    a caller that wants only dimensions does no kernel or echelon work for
+    it. Results compare by their dimensions."""
 
     def __init__(self, degree: int, dim_cochain: int, dim_cocycles: int,
                  dim_coboundaries: int, dim_cohomology: int,
@@ -356,7 +355,7 @@ def _coboundary_space(r: LieAlgebra, M: Representation, n: int) -> Subspace:
 def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
     """Reduce candidate vectors against an echelon set seeded from base;
     the survivors, normalized at their leading coordinate, are the
-    representatives.
+    representatives, as sparse {coordinate: value} dicts.
 
     Each candidate is reduced in coordinate order, only until its first
     nonzero coordinate that is not yet a pivot; that coordinate becomes the
@@ -388,7 +387,7 @@ def _extend_echelon(base: Subspace, candidates: Subspace, want: int) -> tuple:
         lead = vec[c]
         vec = {t: x / lead for t, x in vec.items()}
         echelon[c] = vec
-        reps.append(to_dense(vec, base.ambient_dim))
+        reps.append(vec)
         if len(reps) == want:
             break
     return tuple(reps)
@@ -431,8 +430,9 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     >>> res = cohomology(g, adjoint_rep(g), 2)
     >>> res.dim_cohomology
     1
-    >>> len(res.representatives)
-    1
+    >>> rep, = res.representatives
+    >>> len(rep), rep[CochainSpace(g, adjoint_rep(g), 2).index_of((3, 4), 0)]
+    (8, Fraction(1, 1))
     """
     dim_c = cochain_dim(r, M, n)
     dim_z = dim_c - _rank(r, M, n)
@@ -455,14 +455,12 @@ def cohomology(r: LieAlgebra, M: Representation, n: int) -> CohomologyResult:
     )
 
 
-def is_cocycle(r: LieAlgebra, M: Representation, n: int, phi: Sequence) -> bool:
-    dn = differential(r, M, n)
-    if len(phi) != dn.cols:
-        raise ValueError("cochain vector has the wrong length")
-    return not any(dn.apply(phi))
+def is_cocycle(r: LieAlgebra, M: Representation, n: int, phi: dict) -> bool:
+    """phi, a sparse {flat index: value} cochain, is closed."""
+    return not differential(r, M, n).apply(phi)
 
 
-def is_coboundary(r: LieAlgebra, M: Representation, n: int, phi: Sequence) -> bool:
-    if len(phi) != cochain_dim(r, M, n):
-        raise ValueError("cochain vector has the wrong length")
+def is_coboundary(r: LieAlgebra, M: Representation, n: int, phi: dict) -> bool:
+    """phi, a sparse {flat index: value} cochain, lies in the image of
+    d_{n-1}."""
     return _coboundary_space(r, M, n).contains(phi)

@@ -219,20 +219,21 @@ class SparseMatrix:
                 out.setdefault(c, {})[r] = v * (col_dens.get(c, 1) // den)
         return SparseMatrix.from_integer_rows(self.cols, self.rows, out, col_dens)
 
-    def apply(self, vec: Sequence) -> tuple:
-        """Matrix-vector product, vec of length cols."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
+    def apply(self, vec: dict) -> dict:
+        """Matrix-vector product on sparse {coordinate: value} vectors,
+        vec's coordinates in [0, cols); the product holds its nonzeros only.
+        """
+        check_coordinates(vec, self.cols)
+        out = {}
         for r, row, den in self.integer_rows():
             s = 0
             for c, v in row.items():
-                x = vec[c]
+                x = vec.get(c)
                 if x:
-                    s += v * Fraction(x)
+                    s += v * x
             if s:
                 out[r] = Fraction(s, den)
-        return tuple(out)
+        return out
 
     def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
@@ -672,6 +673,14 @@ def _divide_content(row: dict) -> None:
             row[k] //= h
 
 
+def check_coordinates(vec: dict, n: int) -> None:
+    """Refuse a sparse {coordinate: value} vector with a coordinate outside
+    [0, n)."""
+    for k in vec:
+        if not 0 <= k < n:
+            raise ValueError(f"coordinate {k} outside [0, {n})")
+
+
 def _subtract(w: dict, f, row: dict) -> None:
     """w -= f * row on sparse {coordinate: value} dicts, dropping zeros;
     f must be nonzero."""
@@ -714,14 +723,6 @@ def column_slice(m: SparseMatrix, cols: Sequence[int]) -> SparseMatrix:
     return SparseMatrix.from_integer_rows(m.rows, len(place), rows, dens)
 
 
-def to_dense(row: dict, n: int) -> tuple:
-    """The length-n coordinate tuple of a sparse {coordinate: value} row."""
-    vec = [Fraction(0)] * n
-    for k, v in row.items():
-        vec[k] = v
-    return tuple(vec)
-
-
 class Subspace:
     """A linear subspace of Q^n stored via its unique RREF basis.
 
@@ -730,8 +731,8 @@ class Subspace:
     their rows are equal.
 
     >>> u = Subspace.from_vectors(2, [(2, 0), (1, 0)])
-    >>> u.dim, u.basis
-    (1, ((Fraction(1, 1), Fraction(0, 1)),))
+    >>> u.dim, u.rows
+    (1, ({0: Fraction(1, 1)},))
     >>> u == Subspace.from_vectors(2, [{0: 5}])
     True
     """
@@ -751,8 +752,7 @@ class Subspace:
         rows = []
         for vec in vectors:
             if isinstance(vec, dict):
-                if any(not 0 <= i < ambient_dim for i in vec):
-                    raise ValueError("vector coordinate outside the ambient dimension")
+                check_coordinates(vec, ambient_dim)
                 items = vec.items()
             else:
                 vec = list(vec)
@@ -780,11 +780,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> tuple:
-        """The RREF basis as dense coordinate tuples."""
-        return tuple(to_dense(row, self.ambient_dim) for row in self.rows)
-
     def matrix(self) -> SparseMatrix:
         """Basis vectors stacked as rows."""
         return SparseMatrix(self.dim, self.ambient_dim, {
@@ -804,18 +799,17 @@ class Subspace:
                 _subtract(w, f, row)
         return w
 
-    def contains(self, w: Sequence) -> bool:
-        """Membership test: w reduces to zero against the basis.
+    def contains(self, w: dict) -> bool:
+        """Membership test for a sparse {coordinate: value} vector: it
+        reduces to zero against the basis.
 
-        >>> Subspace.from_vectors(2, [(1, 0)]).contains((2, 0))
+        >>> Subspace.from_vectors(2, [(1, 0)]).contains({0: 2})
         True
-        >>> Subspace.from_vectors(2, [(1, 0)]).contains((0, 1))
+        >>> Subspace.from_vectors(2, [(1, 0)]).contains({1: 1})
         False
         """
-        w = [Fraction(x) for x in w]
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        return not self.reduce({i: x for i, x in enumerate(w) if x})
+        check_coordinates(w, self.ambient_dim)
+        return not self.reduce({i: x for i, x in w.items() if x})
 
     def __eq__(self, other) -> bool:
         return (
@@ -839,8 +833,8 @@ def kernel_basis(m: SparseMatrix) -> Subspace:
 
     rank(m) + dim kernel = cols(m).
 
-    >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).basis
-    ((Fraction(1, 1), Fraction(-1, 2)),)
+    >>> kernel_basis(SparseMatrix.from_rows([[1, 2]])).rows
+    ({0: Fraction(1, 1), 1: Fraction(-1, 2)},)
     """
     _, kernel = _kernel(m)
     rows = tuple({k: Fraction(v, vec[f]) for k, v in vec.items()}
@@ -866,8 +860,8 @@ def intersect(u: Subspace, v: Subspace) -> Subspace:
     sum(a_i u_i) = -sum(b_j v_j) of the intersection.
 
     >>> u = Subspace.from_vectors(2, [(1, 0), (0, 1)])
-    >>> intersect(u, Subspace.from_vectors(2, [(1, 1)])).basis
-    ((Fraction(1, 1), Fraction(1, 1)),)
+    >>> intersect(u, Subspace.from_vectors(2, [(1, 1)])).rows
+    ({0: Fraction(1, 1), 1: Fraction(1, 1)},)
     """
     if u.ambient_dim != v.ambient_dim:
         raise ValueError("ambient dimension mismatch")

@@ -14,7 +14,7 @@ checked by computing both sides independently.
 from fractions import Fraction
 from itertools import combinations
 
-from .exact_linalg import SparseMatrix
+from .exact_linalg import SparseMatrix, check_coordinates
 from .lie_core import JacobiViolation, LieAlgebra
 from .representations import trivial_rep
 from .cochain import cochain_dim, cohomology
@@ -30,13 +30,11 @@ class NotACocycle(ValueError):
 
 
 class ExtensionInput:
-    def __init__(self, base: LieAlgebra, cocycle: tuple, k: int = 1):
-        expected = cochain_dim(base, trivial_rep(base, k), 2)
-        if len(cocycle) != expected:
-            raise ValueError(
-                f"cocycle vector must have {expected} coordinates, "
-                f"got {len(cocycle)}"
-            )
+    """A base algebra, a 2-cochain with values in Q^k as a sparse
+    {flat index: Fraction} dict, and k."""
+
+    def __init__(self, base: LieAlgebra, cocycle: dict, k: int = 1):
+        check_coordinates(cocycle, cochain_dim(base, trivial_rep(base, k), 2))
         self.base = base
         self.cocycle = cocycle
         self.k = k
@@ -58,11 +56,10 @@ def central_extension(inp: ExtensionInput) -> LieAlgebra:
     structure: dict = {}
     for (i, j), comps in g.structure.items():
         structure[(i, j)] = dict(comps)
-    for t, (i, j) in enumerate(pairs):
-        for m in range(k):
-            c = Fraction(inp.cocycle[t * k + m])
-            if c:
-                structure.setdefault((i, j), {})[g.dim + m] = c
+    for flat, c in sorted(inp.cocycle.items()):
+        if c:
+            t, m = divmod(flat, k)
+            structure.setdefault(pairs[t], {})[g.dim + m] = Fraction(c)
     labels = list(g.labels) + [f"c{m + 1}" for m in range(k)]
     out = LieAlgebra(
         labels, structure, name=f"{g.name}+center{k}" if g.name else ""

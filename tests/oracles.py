@@ -7,15 +7,54 @@ constants and action matrix entries, which are the data under test's
 own ground truth. reference_echelon and reference_leibniz_system are the
 exceptions: frozen copies of an earlier elimination kernel and of the
 earlier Fraction assembly of the Leibniz system, which the current code
-must match exactly.
+must match exactly. The library's vectors are sparse {coordinate: value}
+dicts; to_dense, sparse, dense_apply and basis convert them for the dense
+references here, and reference_serialize is the cochain serializer as it
+stood when cochains were dense tuples.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from liecohom.exact_linalg import SparseMatrix
+from liecohom.exact_linalg import SparseMatrix, rat_str
 from liecohom.lie_core import LieAlgebra
+
+
+def to_dense(row: dict, n: int) -> tuple:
+    """The length-n coordinate tuple of a sparse {coordinate: value} row."""
+    vec = [Fraction(0)] * n
+    for k, v in row.items():
+        vec[k] = v
+    return tuple(vec)
+
+
+def sparse(vec) -> dict:
+    """The {coordinate: Fraction} dict of the nonzeros of a dense vector."""
+    return {i: Fraction(x) for i, x in enumerate(vec) if x}
+
+
+def dense_apply(m: SparseMatrix, vec) -> list:
+    """m times the dense vector vec, through the sparse SparseMatrix.apply,
+    as a dense list."""
+    return list(to_dense(m.apply(sparse(vec)), m.rows))
+
+
+def basis(u) -> tuple:
+    """The RREF basis of the Subspace u as dense coordinate tuples."""
+    return tuple(to_dense(row, u.ambient_dim) for row in u.rows)
+
+
+def reference_serialize(space, vec: dict) -> str:
+    """space.serialize by a scan of every coordinate of the dense vector."""
+    dense = to_dense(vec, space.dim)
+    md = space.module.module_dim
+    items = []
+    for flat, x in enumerate(dense):
+        if x:
+            items.append([list(space.tuples[flat // md]), flat % md, rat_str(x)])
+    return json.dumps(items)
 
 
 def sort_with_sign(args):

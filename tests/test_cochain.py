@@ -2,9 +2,14 @@ import hashlib
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liecohom import catalog, exact_linalg
 from liecohom.cochain import (
@@ -22,7 +27,15 @@ from liecohom.exact_linalg import kernel_basis
 from liecohom.invariants import InvariantSetup, cochain_action, invariant_cohomology
 from liecohom.representations import adjoint_rep, trivial_rep
 
-from oracles import naive_d_apply, permute_algebra, rescale_basis
+from oracles import (
+    dense_apply,
+    naive_d_apply,
+    permute_algebra,
+    reference_serialize,
+    rescale_basis,
+    sparse,
+    to_dense,
+)
 
 PSI_SCH2 = {
     ((3, 4), 0): 2,   # psi(x1, x2) = 2e
@@ -37,7 +50,7 @@ PSI_SCH2 = {
 
 
 def random_vec(rng, dim):
-    return tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim))
+    return sparse(rng.randint(-3, 3) for _ in range(dim))
 
 
 def test_cochain_dim_formula(sch2, sl2):
@@ -59,6 +72,74 @@ def test_serialize_parse_round_trip(sch2, rng):
     psi = space.vector_of(PSI_SCH2)
     assert psi[space.index_of((3, 4), 0)] == 2
     assert space.serialize(space.vector_of({})) == "[]"
+
+
+@st.composite
+def sparse_cochains(draw):
+    """(space, cochain): a random sparse cochain of C^2(sch_2, adj) or
+    C^3(h_2, triv), values nonzero rationals."""
+    g, n, adjoint = draw(st.sampled_from([("schrodinger:2", 2, True),
+                                          ("heisenberg:2", 3, False)]))
+    g = catalog.resolve(g)
+    space = CochainSpace(g, adjoint_rep(g) if adjoint else trivial_rep(g, 1), n)
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool)
+    return space, draw(st.dictionaries(st.integers(0, space.dim - 1), values))
+
+
+@given(sparse_cochains())
+def test_serialize_matches_the_dense_scan(case):
+    space, vec = case
+    text = space.serialize(vec)
+    assert text == reference_serialize(space, vec)
+    assert space.parse(text) == vec
+
+
+def test_cochains_refuse_outside_coordinates(sch2):
+    triv = trivial_rep(sch2, 1)
+    space = CochainSpace(sch2, triv, 2)
+    for key in (-1, space.dim):
+        phi = {key: Fraction(1)}
+        for call in (space.serialize, lambda v: is_cocycle(sch2, triv, 2, v),
+                     lambda v: is_coboundary(sch2, triv, 2, v)):
+            with pytest.raises(ValueError, match="outside"):
+                call(phi)
+
+
+def test_parse_sums_a_repeated_coordinate(sch2):
+    space = CochainSpace(sch2, trivial_rep(sch2, 1), 2)
+    assert space.parse('[[[0, 1], 0, "3/2"], [[0, 1], 0, "-3/2"]]') == {}
+    assert space.parse('[[[0, 1], 0, "1"], [[0, 2], 0, "2"], [[0, 1], 0, "1/2"]]') == {
+        space.index_of((0, 1), 0): Fraction(3, 2), space.index_of((0, 2), 0): 2}
+
+
+def test_vector_of_refuses_inexact_coefficients(sch2):
+    space = CochainSpace(sch2, trivial_rep(sch2, 1), 2)
+    for c, words in ((0.1, "inexact float"), (True, "boolean")):
+        with pytest.raises(ValueError, match=words):
+            space.vector_of({((0, 1), 0): c})
+    assert space.vector_of({((0, 1), 0): "1/3", ((0, 2), 0): 0}) == {
+        space.index_of((0, 1), 0): Fraction(1, 3)}
+
+
+def test_parse_allocates_only_the_nonzeros():
+    # C^2(h_1, Q^(10^8)) has 3 * 10^8 coordinates: a dense vector of them
+    # does not fit in a 1 GiB address space
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = ("from liecohom import catalog\n"
+            "from liecohom.cochain import CochainSpace\n"
+            "from liecohom.representations import trivial_rep\n"
+            "g = catalog.heisenberg(1)\n"
+            "space = CochainSpace(g, trivial_rep(g, 10**8), 2)\n"
+            "print(repr(space.parse('[[[0, 1], 0, \"1\"]]')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "{0: Fraction(1, 1)}\n"
 
 
 def test_parse_rejects_malformed(sch2):
@@ -109,8 +190,8 @@ def test_differential_matches_naive_oracle(rng):
         # no int and no stored zero may reach the elimination's v / pv
         assert all(type(v) is Fraction and v for v in d.entries.values())
         for _ in range(3):
-            vec = random_vec(rng, d.cols)
-            assert list(d.apply(vec)) == naive_d_apply(g, rep, n, vec), (g.name, n)
+            vec = to_dense(random_vec(rng, d.cols), d.cols)
+            assert dense_apply(d, vec) == naive_d_apply(g, rep, n, vec), (g.name, n)
     # the rescaled basis gives an isomorphic algebra: rows assembled over
     # the common denominator 6 must give the catalog's cohomology
     sch2 = catalog.schrodinger(2)
@@ -123,13 +204,13 @@ def test_degree_zero_differential(sl2):
     # (d m)(v) = v . m for the adjoint module: phi(b_j) = [b_j, m]
     adj = adjoint_rep(sl2)
     d0 = differential(sl2, adj, 0)
-    m = (1, 0, 0)  # e
+    m = {0: Fraction(1)}  # e
     img = d0.apply(m)
     space = CochainSpace(sl2, adj, 1)
     # [f, e] = -h, [h, e] = 2e
     assert img[space.index_of((1,), 2)] == -1
     assert img[space.index_of((2,), 0)] == 2
-    assert img[space.index_of((0,), 0)] == 0
+    assert space.index_of((0,), 0) not in img
 
 
 def test_whitehead_and_top_degree(sl2):
@@ -205,7 +286,8 @@ def test_representatives_are_independent_cocycles():
             seen.append(v)
         # classes are independent: no nontrivial combination is a coboundary
         if len(seen) == 2:
-            combo = tuple(a + b for a, b in zip(seen[0], seen[1]))
+            combo = {k: seen[0].get(k, 0) + seen[1].get(k, 0)
+                     for k in seen[0].keys() | seen[1].keys()}
             assert not is_coboundary(g, rep, n, combo)
 
 

@@ -17,7 +17,7 @@ from liecohom.exact_linalg import (
     rat_str,
 )
 
-from oracles import gauss_jordan, reference_echelon
+from oracles import basis, gauss_jordan, reference_echelon, sparse
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -406,8 +406,8 @@ def test_rank_nullity(m):
 
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for vec in kernel_basis(m).basis:
-        assert all(x == 0 for x in m.apply(vec))
+    for vec in kernel_basis(m).rows:
+        assert m.apply(vec) == {}
 
 
 @given(matrices())
@@ -418,12 +418,13 @@ def test_transpose_preserves_rank(m):
 @given(matrices(5, 5), matrices(5, 5))
 def test_matrix_arithmetic(a, b):
     if (a.rows, a.cols) == (b.rows, b.cols):
-        v = tuple(range(1, a.cols + 1))
+        v = sparse(range(1, a.cols + 1))
         left = (a + b).apply(v)
-        right = tuple(x + y for x, y in zip(a.apply(v), b.apply(v)))
-        assert left == right
+        av, bv = a.apply(v), b.apply(v)
+        right = {k: av.get(k, 0) + bv.get(k, 0) for k in av.keys() | bv.keys()}
+        assert left == {k: x for k, x in right.items() if x}
     if a.cols == b.rows:
-        v = tuple(range(1, b.cols + 1))
+        v = sparse(range(1, b.cols + 1))
         assert (a @ b).apply(v) == a.apply(b.apply(v))
 
 
@@ -431,25 +432,28 @@ def test_subspace_canonical_basis():
     u = Subspace.from_vectors(3, [(2, 4, 0), (1, 2, 1)])
     w = Subspace.from_vectors(3, [(1, 2, 1), (3, 6, 1), (4, 8, 2)])
     assert u == w
-    assert u.basis == ((1, 2, 0), (0, 0, 1))
+    assert basis(u) == ((1, 2, 0), (0, 0, 1))
     assert u.pivots == (0, 2)
 
 
 def test_subspace_membership():
     u = Subspace.from_vectors(4, [(1, 0, 1, 0), (0, 1, 0, 1)])
-    assert u.contains((2, 3, 2, 3))
-    assert not u.contains((1, 0, 0, 0))
-    assert u.contains((0, 0, 0, 0))
-    assert u.contains((1, 1, 1, 1))
+    assert u.contains({0: 2, 1: 3, 2: 2, 3: 3})
+    assert not u.contains({0: 1})
+    assert u.contains({})
+    assert u.contains({0: 0, 2: 0})
+    assert u.contains({0: 1, 1: 1, 2: 1, 3: 1})
     with pytest.raises(ValueError):
-        u.contains((1, 0))
+        u.contains({4: 1})
+    with pytest.raises(ValueError):
+        u.contains({-1: 1})
 
 
 def test_zero_subspace():
     z = Subspace.zero(5)
     assert z.dim == 0
-    assert z.contains([0] * 5)
-    assert not z.contains([1, 0, 0, 0, 0])
+    assert z.contains({})
+    assert not z.contains({0: 1})
     assert intersect(z, Subspace.from_vectors(5, [(1, 0, 0, 0, 0)])).dim == 0
 
 
@@ -458,7 +462,7 @@ def test_intersect_known():
     v = Subspace.from_vectors(3, [(0, 1, 0), (0, 0, 1)])
     w = intersect(u, v)
     assert w.dim == 1
-    assert w.contains((0, 5, 0))
+    assert w.contains({1: 5})
 
 
 @st.composite
@@ -483,9 +487,9 @@ def test_intersection_dimension_formula(pair):
     w = intersect(u, v)
     s = Subspace.from_vectors(u.ambient_dim, u.rows + v.rows)
     assert w.dim + s.dim == u.dim + v.dim
-    for vec in w.basis:
+    for vec in w.rows:
         assert u.contains(vec) and v.contains(vec)
-    for vec in u.basis:
+    for vec in u.rows:
         assert s.contains(vec)
 
 
@@ -499,7 +503,7 @@ def test_from_vectors_dense_and_sparse_spellings_agree(case):
     a = Subspace.from_vectors(n, dense)
     b = Subspace.from_vectors(n, sparse)
     assert a == b
-    assert (a.rows, a.pivots, a.basis) == (b.rows, b.pivots, b.basis)
+    assert (a.rows, a.pivots, basis(a)) == (b.rows, b.pivots, basis(b))
 
 
 def test_from_vectors_rejects_outside_coordinates():
@@ -515,11 +519,11 @@ def test_column_space():
     m = SparseMatrix.from_rows([[1, 2], [0, 0], [1, 2]])
     cs = column_space(m)
     assert cs.dim == 1
-    assert cs.contains((1, 0, 1))
+    assert cs.contains({0: 1, 2: 1})
 
 
 def test_kernel_known():
     m = SparseMatrix.from_rows([[1, 1, 0], [0, 0, 1]])
     k = kernel_basis(m)
     assert k.dim == 1
-    assert k.contains((1, -1, 0))
+    assert k.contains({0: 1, 1: -1})

@@ -14,7 +14,12 @@ from liecohom.invariants import (
 from liecohom.lie_core import LieAlgebra
 from liecohom.representations import adjoint_rep, trivial_rep, validate_rep
 
-from oracles import naive_cochain_action_apply, permute_algebra, rescale_basis
+from oracles import (
+    dense_apply,
+    naive_cochain_action_apply,
+    permute_algebra,
+    rescale_basis,
+)
 
 
 def test_setup_validation(sch2):
@@ -64,7 +69,7 @@ def test_cochain_action_matches_naive_oracle(sch2_adj_setup, sch2_triv_setup, rn
                 mat = cochain_action(setup, li, n)
                 assert all(type(x) is Fraction and x for x in mat.entries.values())
                 vec = tuple(Fraction(rng.randint(-2, 2)) for _ in range(dim))
-                assert list(mat.apply(vec)) == naive_cochain_action_apply(
+                assert dense_apply(mat, vec) == naive_cochain_action_apply(
                     setup, li, n, vec
                 )
 
@@ -87,8 +92,8 @@ def test_invariant_vectors_are_annihilated(sch2_adj_setup):
     inv = invariant_subspace(setup, 2)
     assert inv.dim == 8
     for mat in [cochain_action(setup, li, 2) for li in setup.levi]:
-        for vec in inv.basis:
-            assert not any(mat.apply(vec))
+        for vec in inv.rows:
+            assert not mat.apply(vec)
 
 
 def test_invariant_one_cochains():
@@ -141,7 +146,7 @@ def test_invariant_representatives_are_invariant_cocycles(sch2_adj_setup):
         assert is_cocycle(r, M, 2, vec)
         assert not is_coboundary(r, M, 2, vec)
         for mat in [cochain_action(setup, li, 2) for li in setup.levi]:
-            assert not any(mat.apply(vec))
+            assert not mat.apply(vec)
 
 
 def test_subcomplex_agrees_with_intersections(sch2_adj_setup, sch2_triv_setup):

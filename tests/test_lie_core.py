@@ -32,6 +32,7 @@ from liecohom.lie_core import (
 from liecohom.representations import adjoint_rep
 
 from oracles import (
+    dense_apply,
     dense_bracket,
     naive_jacobi,
     permute_algebra,
@@ -51,7 +52,7 @@ def bracket(ads, u, v):
     out = [Fraction(0)] * len(v)
     for ui, ad in zip(u, ads):
         if ui:
-            out = [a + ui * b for a, b in zip(out, ad.apply(v))]
+            out = [a + ui * b for a, b in zip(out, dense_apply(ad, v))]
     return tuple(out)
 
 
@@ -181,15 +182,15 @@ def test_ad_matrix_matches_bracket(sl2, sch2):
             assert (ad.rows, ad.cols) == (g.dim, g.dim)
             for j in range(g.dim):
                 e_i, e_j = unit(g.dim, i), unit(g.dim, j)
-                assert list(ad.apply(e_j)) == dense_bracket(g, e_i, e_j), (g.name, i, j)
+                assert dense_apply(ad, e_j) == dense_bracket(g, e_i, e_j), (g.name, i, j)
 
 
 def test_center_dims(sl2, h2, sch3):
     assert center(sl2).dim == 0
     assert center(h2).dim == 1
-    assert center(h2).contains(unit(5, 4))
+    assert center(h2).contains({4: 1})
     assert center(sch3).dim == 1
-    assert center(sch3).contains(unit(10, 9))
+    assert center(sch3).contains({9: 1})
     assert center(catalog.abelian(4)).dim == 4
 
 
@@ -226,22 +227,22 @@ def test_derivations_satisfy_leibniz(sch2):
         for i in range(dim):
             for j in range(i + 1, dim):
                 ei, ej = unit(dim, i), unit(dim, j)
-                lhs = D.apply(dense_bracket(sch2, ei, ej))
+                lhs = dense_apply(D, dense_bracket(sch2, ei, ej))
                 rhs = [
                     a + b
                     for a, b in zip(
-                        dense_bracket(sch2, D.apply(ei), ej),
-                        dense_bracket(sch2, ei, D.apply(ej)),
+                        dense_bracket(sch2, dense_apply(D, ei), ej),
+                        dense_bracket(sch2, ei, dense_apply(D, ej)),
                     )
                 ]
-                assert list(lhs) == rhs
+                assert lhs == rhs
 
 
 def test_inner_derivations_inside_derivations(sch2, sl2):
     der = derivation_space(sch2)
     inn = inner_derivations(sch2)
     assert inn.dim == sch2.dim - center(sch2).dim == 7
-    for vec in inn.basis:
+    for vec in inn.rows:
         assert der.contains(vec)
     assert inner_derivations(sl2).dim == 3
 
